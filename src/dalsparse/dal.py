@@ -17,6 +17,19 @@ so per-iteration cost tracks the sparsity of the current solution.
 Two inner strategies are provided: a dense Cholesky factorization of the
 m x m Newton system, and a diagonally preconditioned conjugate gradient
 (truncated Newton) that only applies the Hessian matrix-free.
+
+Products with the whole design matrix dominate the cost of wide problems, so
+``A^T alpha`` is carried through the loop instead of recomputed.  Each line
+search already forms ``A^T d`` for its direction d and hands the accepted
+point's ``A^T alpha + step*A^T d`` to the next Newton step; the multiplier
+update reads the same vector; and ``A w`` is formed from the nonzero columns
+of the sparse iterate.  :func:`solve` takes one fresh ``A^T alpha`` after
+every inner solve (and after every descent retry), which is the only refresh
+and bounds the rounding drift of the carried vector.  A solve therefore makes
+about ``Newton steps + 3*outer iterations + 1`` full-design products: one per
+Newton step (the line search), and per outer iteration the refresh plus the
+two of the duality-gap certificate, plus ``A^T b`` at the start.  Masked
+workspaces (see :class:`InnerWorkspace`) add their matrix-free products.
 """
 
 from __future__ import annotations
@@ -165,19 +178,33 @@ def compute_active_set(q: np.ndarray, lam: float) -> np.ndarray:
     return np.flatnonzero(np.abs(q) > lam)
 
 
+def _gather_pays(p, k):
+    """Whether copying k columns of the design beats masked full products."""
+    return (
+        k <= max(16, int(_GATHER_MAX_FRACTION * p.n))
+        and k * p.m <= _GATHER_MAX_ELEMENTS
+    )
+
+
 def inner_workspace(
-    p: ProblemInstance, w: np.ndarray, eta: float, alpha: np.ndarray
+    p: ProblemInstance,
+    w: np.ndarray,
+    eta: float,
+    alpha: np.ndarray,
+    design_t_alpha: np.ndarray | None = None,
 ) -> InnerWorkspace:
-    """Evaluate q = A^T alpha + w/eta and gather the active columns."""
+    """Evaluate q = A^T alpha + w/eta and gather the active columns.
+
+    ``design_t_alpha`` (= ``A^T alpha``) may be supplied to reuse a
+    matrix-vector product computed by a solver loop.
+    """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    q = p.design.T @ alpha + np.asarray(w, dtype=float) / eta
+    if design_t_alpha is None:
+        design_t_alpha = p.design.T @ alpha
+    q = design_t_alpha + np.asarray(w, dtype=float) / eta
     active = compute_active_set(q, p.lam)
-    gather = (
-        active.size <= max(16, int(_GATHER_MAX_FRACTION * p.n))
-        and active.size * p.m <= _GATHER_MAX_ELEMENTS
-    )
-    cols = p.design[:, active] if gather else None
+    cols = p.design[:, active] if _gather_pays(p, active.size) else None
     return InnerWorkspace(q=q, active=active, active_cols=cols)
 
 
@@ -200,12 +227,12 @@ def _active_transpose_product(p, ws, vec):
 def _active_square_row_sums(p, ws):
     """Row sums of the squared active columns, chunked to bound transients."""
     if ws.active_cols is not None:
-        return (ws.active_cols * ws.active_cols).sum(axis=1)
+        return np.einsum("ij,ij->i", ws.active_cols, ws.active_cols)
     out = np.zeros(p.m)
     step = max(1, _GATHER_MAX_ELEMENTS // (4 * p.m))
     for lo in range(0, int(ws.active.size), step):
         cols = p.design[:, ws.active[lo : lo + step]]
-        out += (cols * cols).sum(axis=1)
+        out += np.einsum("ij,ij->i", cols, cols)
     return out
 
 
@@ -343,8 +370,19 @@ def newton_direction_pcg(
 
 
 def _line_search_ws(
-    p, eta, alpha, direction, grad, q0, g0, shrink, sufficient_decrease, min_step
+    p,
+    eta,
+    alpha,
+    direction,
+    grad,
+    q0,
+    g0,
+    design_t_alpha,
+    shrink,
+    sufficient_decrease,
+    min_step,
 ):
+    """Armijo search; returns the accepted alpha, its step and its A^T alpha."""
     slope = float(grad @ direction)
     if slope >= 0.0:
         direction = -grad
@@ -356,7 +394,7 @@ def _line_search_ws(
         alpha_trial = alpha + step * direction
         g_trial = _objective_from_q(p, eta, alpha_trial, q0 + step * design_t_dir)
         if g_trial <= g0 + sufficient_decrease * step * slope:
-            return alpha_trial, step
+            return alpha_trial, step, design_t_alpha + step * design_t_dir
         step *= shrink
     raise LineSearchError(
         f"step underflow below {min_step:g}; gradient/objective inconsistency"
@@ -381,12 +419,24 @@ def backtracking_line_search(
     """
     alpha = np.asarray(alpha, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    ws = inner_workspace(p, w, eta, alpha)
+    design_t_alpha = p.design.T @ alpha
+    ws = inner_workspace(p, w, eta, alpha, design_t_alpha)
     grad = _gradient_from_ws(p, eta, alpha, ws)
     g0 = _objective_from_q(p, eta, alpha, ws.q)
-    return _line_search_ws(
-        p, eta, alpha, direction, grad, ws.q, g0, shrink, sufficient_decrease, min_step
+    alpha, step, _ = _line_search_ws(
+        p,
+        eta,
+        alpha,
+        direction,
+        grad,
+        ws.q,
+        g0,
+        design_t_alpha,
+        shrink,
+        sufficient_decrease,
+        min_step,
     )
+    return alpha, step
 
 
 def inner_solve(
@@ -396,20 +446,26 @@ def inner_solve(
     eps: float,
     alpha_start: np.ndarray,
     config: SolverConfig,
+    design_t_alpha: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Newton-iterate the inner problem from ``alpha_start`` until the gradient
     norm falls to ``eps`` or the iteration cap is reached.
 
     Returns the final alpha, the Newton steps taken, and total CG iterations
-    (zero for the Cholesky variant).
+    (zero for the Cholesky variant).  ``design_t_alpha`` (= ``A^T
+    alpha_start``) may be supplied to reuse a matrix-vector product computed
+    by a solver loop; each step then makes one full-design product, in its
+    line search.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     alpha = np.array(alpha_start, dtype=float)
+    if design_t_alpha is None:
+        design_t_alpha = p.design.T @ alpha
     newton_iters = 0
     pcg_iters = 0
     for _ in range(config.max_inner_newton):
-        ws = inner_workspace(p, w, eta, alpha)
+        ws = inner_workspace(p, w, eta, alpha, design_t_alpha)
         grad = _gradient_from_ws(p, eta, alpha, ws)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= eps:
@@ -423,7 +479,7 @@ def inner_solve(
             )
             pcg_iters += used
         g0 = _objective_from_q(p, eta, alpha, ws.q)
-        alpha, _ = _line_search_ws(
+        alpha, _, design_t_alpha = _line_search_ws(
             p,
             eta,
             alpha,
@@ -431,6 +487,7 @@ def inner_solve(
             grad,
             ws.q,
             g0,
+            design_t_alpha,
             config.ls_shrink,
             config.ls_sufficient_decrease,
             1e-16,
@@ -440,14 +497,31 @@ def inner_solve(
 
 
 def outer_update(
-    w: np.ndarray, alpha: np.ndarray, eta: float, p: ProblemInstance
+    w: np.ndarray,
+    alpha: np.ndarray,
+    eta: float,
+    p: ProblemInstance,
+    design_t_alpha: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Multiplier refresh w <- ST_{lam*eta}(w + eta*A^T alpha); exactly sparse."""
+    """Multiplier refresh w <- ST_{lam*eta}(w + eta*A^T alpha); exactly sparse.
+
+    ``design_t_alpha`` (= ``A^T alpha``) may be supplied to reuse a
+    matrix-vector product computed by a solver loop.
+    """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     w = np.asarray(w, dtype=float)
-    return soft_threshold(w + eta * (p.design.T @ np.asarray(alpha, dtype=float)),
-                          p.lam * eta)
+    if design_t_alpha is None:
+        design_t_alpha = p.design.T @ np.asarray(alpha, dtype=float)
+    return soft_threshold(w + eta * design_t_alpha, p.lam * eta)
+
+
+def _residual(p, w):
+    """A w - b, formed from the nonzero columns of w while they are few."""
+    nz = np.flatnonzero(w)
+    if _gather_pays(p, nz.size):
+        return p.design[:, nz] @ w[nz] - p.observations
+    return p.design @ w - p.observations
 
 
 def solve(
@@ -480,16 +554,21 @@ def solve(
     primal = math.inf
     gap = math.inf
     start = time.perf_counter()
+    design_t_alpha = p.design.T @ state.alpha
     for k in range(1, config.max_outer + 1):
         alpha, n_newton, n_pcg = inner_solve(
-            p, state.w, state.eta, state.eps, state.alpha, config
+            p, state.w, state.eta, state.eps, state.alpha, config, design_t_alpha
         )
+        # The one fresh A^T alpha per inner solve: it resets the drift the
+        # line searches' updates accumulate, and everything below reuses it.
+        design_t_alpha = p.design.T @ alpha
         if n_newton >= config.max_inner_newton:
-            residual_grad = inner_gradient(p, state.w, state.eta, alpha)
+            ws = inner_workspace(p, state.w, state.eta, alpha, design_t_alpha)
+            residual_grad = _gradient_from_ws(p, state.eta, alpha, ws)
             if float(np.linalg.norm(residual_grad)) > state.eps:
                 cap_hits += 1
-        w_new = outer_update(state.w, alpha, state.eta, p)
-        residual = p.design @ w_new - p.observations
+        w_new = outer_update(state.w, alpha, state.eta, p, design_t_alpha)
+        residual = _residual(p, w_new)
         primal = 0.5 * float(residual @ residual) + p.lam * float(np.abs(w_new).sum())
         # An eps-approximate inner solve can leak a tiny objective increase;
         # the exact update never does, so refine (warm-started) until the
@@ -502,12 +581,13 @@ def solve(
         ):
             eps_retry = max(0.0625 * eps_retry, config.eps_floor)
             alpha, extra_newton, extra_pcg = inner_solve(
-                p, state.w, state.eta, eps_retry, alpha, config
+                p, state.w, state.eta, eps_retry, alpha, config, design_t_alpha
             )
             n_newton += extra_newton
             pcg_total += extra_pcg
-            w_new = outer_update(state.w, alpha, state.eta, p)
-            residual = p.design @ w_new - p.observations
+            design_t_alpha = p.design.T @ alpha
+            w_new = outer_update(state.w, alpha, state.eta, p, design_t_alpha)
+            residual = _residual(p, w_new)
             primal = 0.5 * float(residual @ residual) + p.lam * float(
                 np.abs(w_new).sum()
             )

@@ -1,0 +1,116 @@
+"""Full-design product budget of a DAL solve, and the A^T alpha reuse arguments.
+
+A solve carries ``A^T alpha`` from each line search to the next Newton step
+and refreshes it once per inner solve, so it makes about one product with
+the whole design per Newton step plus three per outer iteration (the refresh
+and the two of the duality-gap certificate).
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from dalsparse import (
+    GenSpec,
+    SolverConfig,
+    generate,
+    inner_workspace,
+    outer_update,
+    solve,
+)
+from dalsparse.dal import _residual
+
+
+class CountingDesign(np.ndarray):
+    """A view of a design matrix that counts matrix products with all of it."""
+
+    counter = None
+    full_size = 0
+
+    def __array_finalize__(self, obj):
+        self.counter = getattr(obj, "counter", None)
+        self.full_size = getattr(obj, "full_size", 0)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and method == "__call__":
+            for x in inputs:
+                if isinstance(x, CountingDesign) and x.size == x.full_size:
+                    x.counter[0] += 1
+                    break
+        plain = tuple(
+            x.view(np.ndarray) if isinstance(x, CountingDesign) else x for x in inputs
+        )
+        if "out" in kwargs:
+            kwargs["out"] = tuple(
+                x.view(np.ndarray) if isinstance(x, CountingDesign) else x
+                for x in kwargs["out"]
+            )
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def counting(problem):
+    """A copy of ``problem`` whose design counts full products into a list."""
+    counter = [0]
+    design = problem.design.view(CountingDesign)
+    design.counter = counter
+    design.full_size = problem.design.size
+    counted = copy.copy(problem)
+    object.__setattr__(counted, "design", design)
+    return counted, counter
+
+
+def assert_within_budget(problem, tol):
+    counted, counter = counting(problem)
+    report = solve(counted, SolverConfig(outer_tolerance=tol, inner_variant="cholesky"))
+    assert report.converged
+    # Every line search makes one full product, so the count cannot be lower.
+    assert counter[0] >= report.inner_newton_iters
+    budget = report.inner_newton_iters + 3 * report.outer_iters + 4
+    assert counter[0] <= budget, (counter[0], report.inner_newton_iters, report.outer_iters)
+
+
+class TestProductBudget:
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_normal_tight(self, seed):
+        p = generate(GenSpec(family="normal", m=64, seed=seed)).problem
+        assert_within_budget(p, 1e-6)
+
+    def test_largescale(self):
+        p = generate(GenSpec(family="largescale", n=4096, seed=1)).problem
+        assert_within_budget(p, 1e-3)
+
+
+@pytest.fixture
+def problem_and_point():
+    p = generate(GenSpec(family="normal", m=64, seed=5)).problem
+    rng = np.random.default_rng(0)
+    alpha = rng.standard_normal(p.m)
+    w = np.where(rng.random(p.n) < 0.1, rng.standard_normal(p.n), 0.0)
+    return p, w, alpha
+
+
+class TestReuseArguments:
+    def test_inner_workspace(self, problem_and_point):
+        p, w, alpha = problem_and_point
+        plain = inner_workspace(p, w, 3.0, alpha)
+        reused = inner_workspace(p, w, 3.0, alpha, design_t_alpha=p.design.T @ alpha)
+        np.testing.assert_array_equal(plain.q, reused.q)
+        np.testing.assert_array_equal(plain.active, reused.active)
+        np.testing.assert_array_equal(plain.active_cols, reused.active_cols)
+
+    def test_outer_update(self, problem_and_point):
+        p, w, alpha = problem_and_point
+        plain = outer_update(w, alpha, 3.0, p)
+        reused = outer_update(w, alpha, 3.0, p, design_t_alpha=p.design.T @ alpha)
+        np.testing.assert_array_equal(plain, reused)
+
+    @pytest.mark.parametrize("density", [0.0, 0.1, 1.0])
+    def test_residual_over_nonzero_columns(self, problem_and_point, density):
+        p, _, _ = problem_and_point
+        rng = np.random.default_rng(1)
+        w = np.where(rng.random(p.n) < density, rng.standard_normal(p.n), 0.0)
+        expected = p.design @ w - p.observations
+        np.testing.assert_allclose(
+            _residual(p, w), expected, rtol=0, atol=1e-12 * np.linalg.norm(expected)
+        )
