@@ -14,13 +14,10 @@ from .certificates import (
     relative_duality_gap,
 )
 from .dal import (
-    InnerWorkspace,
     LineSearchError,
     NumericError,
-    OpCounters,
     SolveReport,
     SolverConfig,
-    SolverState,
     backtracking_line_search,
     compute_active_set,
     counters,
@@ -64,16 +61,13 @@ __all__ = [
     "DalpFormatError",
     "GenSpec",
     "GeneratedProblem",
-    "InnerWorkspace",
     "IstConfig",
     "LambdaRule",
     "LineSearchError",
     "NumericError",
-    "OpCounters",
     "ProblemInstance",
     "SolveReport",
     "SolverConfig",
-    "SolverState",
     "backtracking_line_search",
     "bb_step",
     "compute_active_set",

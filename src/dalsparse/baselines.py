@@ -26,7 +26,7 @@ import numpy as np
 
 from .certificates import relative_duality_gap
 from .dal import NumericError, SolveReport
-from .prox import ProblemInstance, soft_threshold
+from .prox import ProblemInstance, _primal_value, soft_threshold
 
 STEP_RULES = ("constant", "bb")
 
@@ -155,13 +155,10 @@ def ist_solve(
         tau = 1.0 / lipschitz if lipschitz > 0.0 else 1.0
         tau = min(max(tau, config.tau_min), config.tau_max)
 
-    def objective(w: np.ndarray, residual: np.ndarray) -> float:
-        return 0.5 * float(residual @ residual) + p.lam * float(np.abs(w).sum())
-
     start = time.perf_counter()
     residual = p.design @ w - p.observations
     grad = p.design.T @ residual
-    primal = objective(w, residual)
+    primal = _primal_value(p, w, residual)
     objective_trace: list[float] = []
     gap_trace: list[float] = []
     converged = False
@@ -188,7 +185,7 @@ def ist_solve(
         while True:
             w = soft_threshold(w_prev - tau * grad_prev, p.lam * tau)
             residual = p.design @ w - p.observations
-            primal = objective(w, residual)
+            primal = _primal_value(p, w, residual)
             if config.step_rule == "constant" or tau <= config.tau_min:
                 break
             step = w - w_prev

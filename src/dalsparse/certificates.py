@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import ProblemInstance, dual_objective, primal_objective
+from .prox import ProblemInstance, _primal_value, dual_objective
 
 # Guards division by f(w) = 0, reachable only for b = 0 where w = 0 is optimal.
 GAP_DENOMINATOR_FLOOR = 1e-30
@@ -73,7 +73,7 @@ def dual_certificate(
     if residual is None:
         residual = p.design @ w - p.observations
     alpha_hat = feasible_dual_point(p, w, residual, design_t_residual)
-    primal = 0.5 * float(residual @ residual) + p.lam * float(np.abs(w).sum())
+    primal = _primal_value(p, w, residual)
     dual = dual_objective(p, alpha_hat)
     gap = max(0.0, (primal - dual) / max(primal, GAP_DENOMINATOR_FLOOR))
     return DualCertificate(

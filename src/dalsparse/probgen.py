@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -209,9 +210,11 @@ def save_problem(path, generated: GeneratedProblem) -> None:
     p = generated.problem
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, p.m, p.n, p.lam))
-        fh.write(np.asfortranarray(p.design).astype("<f8").tobytes(order="F"))
-        fh.write(p.observations.astype("<f8").tobytes())
-        fh.write(np.asarray(generated.true_coeffs, dtype="<f8").tobytes())
+        # The transpose of a column-major design is row-major over the same
+        # memory, so tofile writes it column by column without a copy.
+        np.asfortranarray(p.design, dtype="<f8").T.tofile(fh)
+        np.asarray(p.observations, dtype="<f8").tofile(fh)
+        np.asarray(generated.true_coeffs, dtype="<f8").tofile(fh)
 
 
 def load_problem(path) -> GeneratedProblem:
@@ -221,28 +224,29 @@ def load_problem(path) -> GeneratedProblem:
     ``seed=None``.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise DalpFormatError("file too short for header")
-    magic, version, m, n, lam = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise DalpFormatError(f"bad magic bytes {magic!r}")
-    if version != FORMAT_VERSION:
-        raise DalpFormatError(f"unsupported container version {version}")
-    expected = _HEADER.size + 8 * (m * n + m + n)
-    if len(raw) != expected:
-        raise DalpFormatError(
-            f"file length {len(raw)} does not match header (expected {expected})"
-        )
-    body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    design = body[: m * n].reshape((m, n), order="F")
-    observations = body[m * n : m * n + m]
-    coeffs = body[m * n + m :]
-    if not lam > 0:
-        raise DalpFormatError(f"non-positive lambda {lam}")
-    problem = ProblemInstance(design=design.copy(), observations=observations.copy(),
-                              lam=lam)
-    return GeneratedProblem(problem=problem, true_coeffs=coeffs.copy(), seed=None)
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise DalpFormatError("file too short for header")
+        magic, version, m, n, lam = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise DalpFormatError(f"bad magic bytes {magic!r}")
+        if version != FORMAT_VERSION:
+            raise DalpFormatError(f"unsupported container version {version}")
+        # Checked before reading, so a corrupt header cannot size an allocation.
+        expected = _HEADER.size + 8 * (m * n + m + n)
+        if size != expected:
+            raise DalpFormatError(
+                f"file length {size} does not match header (expected {expected})"
+            )
+        if not lam > 0:
+            raise DalpFormatError(f"non-positive lambda {lam}")
+        # Read as the n x m row-major transpose: its .T is the column-major design.
+        design = np.fromfile(fh, dtype="<f8", count=m * n).reshape((n, m)).T
+        observations = np.fromfile(fh, dtype="<f8", count=m)
+        coeffs = np.fromfile(fh, dtype="<f8", count=n)
+    problem = ProblemInstance(design=design, observations=observations, lam=lam)
+    return GeneratedProblem(problem=problem, true_coeffs=coeffs, seed=None)
 
 
 def export_problem_csv(path, generated: GeneratedProblem) -> None:

@@ -95,7 +95,11 @@ def primal_objective(p: ProblemInstance, w: np.ndarray) -> float:
     w = np.asarray(w, dtype=float).ravel()
     if w.shape[0] != p.n:
         raise ValueError(f"w has length {w.shape[0]}, expected {p.n}")
-    residual = p.design @ w - p.observations
+    return _primal_value(p, w, p.design @ w - p.observations)
+
+
+def _primal_value(p: ProblemInstance, w: np.ndarray, residual: np.ndarray) -> float:
+    """0.5*||residual||^2 + lam*||w||_1 for a residual A w - b already formed."""
     return 0.5 * float(residual @ residual) + p.lam * float(np.abs(w).sum())
 
 

@@ -17,6 +17,7 @@ from dalsparse import (
     newton_direction_pcg,
     project_linf,
 )
+from dalsparse import dal
 
 
 def random_problem(rng, m=10, n=30, lam=0.05):
@@ -398,3 +399,53 @@ class TestInnerSolve:
         assert len(tail) >= 3
         for prev, nxt in list(zip(tail, tail[1:]))[-2:]:
             assert nxt <= 10.0 * prev**1.8
+
+
+class TestActiveSetOperator:
+    """The workspace's A+ products match dense ``A[:, active]`` arithmetic on
+    the gathered path, the masked path, and the masked path in chunks."""
+
+    @pytest.fixture(params=["gathered", "masked", "masked-chunked"])
+    def workspace(self, request, monkeypatch):
+        rng = np.random.default_rng(61)
+        p = random_problem(rng, m=8, n=40, lam=0.4)
+        alpha = rng.standard_normal(8)
+        if request.param == "gathered":
+            w = np.zeros(40)
+        else:
+            w = np.full(40, 100.0)  # q_j ~ 50 > lam: every column is active
+        if request.param == "masked-chunked":
+            # 3-column chunks: 40 active columns take 14 blocks
+            monkeypatch.setattr(dal, "_GATHER_MAX_ELEMENTS", 4 * 8 * 3)
+        ws = inner_workspace(p, w, 2.0, alpha)
+        if request.param == "gathered":
+            assert ws.active_cols is not None and 0 < ws.active.size < 40
+        else:
+            assert ws.active_cols is None and ws.active.size == 40
+        return p, ws
+
+    def test_products_match_dense(self, workspace):
+        p, ws = workspace
+        dense = p.design[:, ws.active]
+        rng = np.random.default_rng(62)
+        values = rng.standard_normal(ws.active.size)
+        vec = rng.standard_normal(p.m)
+        tight = dict(rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(ws.matvec(values), dense @ values, **tight)
+        np.testing.assert_allclose(ws.rmatvec(vec), dense.T @ vec, **tight)
+        np.testing.assert_allclose(ws.gram(), dense @ dense.T, **tight)
+        np.testing.assert_allclose(ws.diag(), (dense**2).sum(axis=1), **tight)
+
+    def test_touch_counts(self, workspace):
+        p, ws = workspace
+        k = int(ws.active.size)
+        calls = [
+            (lambda: ws.matvec(np.ones(k)), k),
+            (lambda: ws.rmatvec(np.ones(p.m)), 0),
+            (ws.gram, k),
+            (ws.diag, k),
+        ]
+        for call, touches in calls:
+            counters.reset()
+            call()
+            assert counters.active_column_accesses == touches

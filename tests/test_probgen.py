@@ -204,6 +204,39 @@ class TestProblemFiles:
         with pytest.raises(DalpFormatError):
             load_problem(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        gen = generate(GenSpec(family="normal", m=4, n=8, seed=21))
+        path = tmp_path / "p.dalp"
+        save_problem(path, gen)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(DalpFormatError, match="does not match header"):
+            load_problem(path)
+
+    def test_file_shorter_than_header_rejected(self, tmp_path):
+        path = tmp_path / "short.dalp"
+        path.write_bytes(b"DALP" + bytes(20))
+        with pytest.raises(DalpFormatError, match="too short"):
+            load_problem(path)
+
+    def test_huge_header_rejected_before_allocation(self, tmp_path):
+        # m*n*8 bytes would be 2**83: the length check must fire before any read
+        path = tmp_path / "huge.dalp"
+        path.write_bytes(b"DALP" + (1).to_bytes(4, "little")
+                         + (2**40).to_bytes(8, "little") * 2 + bytes(8))
+        with pytest.raises(DalpFormatError, match="does not match header"):
+            load_problem(path)
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5, float("nan")])
+    def test_non_positive_lambda_rejected(self, tmp_path, lam):
+        gen = generate(GenSpec(family="normal", m=4, n=8, seed=22))
+        path = tmp_path / "p.dalp"
+        save_problem(path, gen)
+        raw = bytearray(path.read_bytes())
+        raw[24:32] = np.float64(lam).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DalpFormatError, match="lambda"):
+            load_problem(path)
+
     def test_csv_export_round_trips_values(self, tmp_path):
         import csv
 
