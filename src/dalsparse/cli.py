@@ -4,13 +4,16 @@ Three subcommands:
 
 * ``gen``   -- write a problem file in the binary container format.
 * ``solve`` -- run one solver on a problem file; emit a JSON record on stdout.
-* ``bench`` -- run a (solver, size, seed) cross-product for a family; write a
-  per-run CSV plus a per-(solver, size) median aggregate CSV.
+* ``bench`` -- generate each (size, seed) instance of a family once, run every
+  requested solver on it, and write a per-run CSV plus a per-(solver, size)
+  median aggregate CSV.  A solve that raises a numeric error becomes a
+  non-converged row whose ``error`` column holds ``Type: message``.
 
 Exit codes: 0 success (non-convergence is data, not failure), 2 usage,
-3 data/format/IO, 4 internal numeric error.  ``DAL_NUM_THREADS`` caps harness
-parallelism; rows are sorted on a deterministic key so output is identical
-for any worker count, modulo the wall-time column.
+3 data/format/IO, 4 internal numeric error.  ``--workers`` (capped by
+``DAL_NUM_THREADS``) runs instances in parallel; rows are sorted on a
+deterministic key so output is identical for any worker count, modulo the
+wall-time column.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import json
 import os
 import statistics
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -63,6 +67,7 @@ class BenchRecord:
     final_gap: float
     converged: bool
     eta_initial: float | None
+    error: str | None = None
 
 
 def _record_from_report(
@@ -100,6 +105,13 @@ def _initial_w(mode: str, n: int) -> np.ndarray | None:
     raise ValueError(f"w-init must be 'zero' or 'random:SEED', got {mode!r}")
 
 
+def _resolved_eta(solver: str, problem, eta_initial: float | None) -> float | None:
+    """The initial barrier weight a solver runs with: 1/lam unless given; IST has none."""
+    if solver not in ("dal-chol", "dal-cg"):
+        return None
+    return eta_initial if eta_initial is not None else 1.0 / problem.lam
+
+
 def run_solver(
     solver: str,
     problem,
@@ -110,9 +122,9 @@ def run_solver(
     w_initial: np.ndarray | None = None,
 ) -> tuple[SolveReport, float | None]:
     """Dispatch one of the four solver ids; returns (report, eta actually used)."""
+    eta = _resolved_eta(solver, problem, eta_initial)
     if solver == "dal-chol" or solver == "dal-cg":
         variant = "cholesky" if solver == "dal-chol" else "pcg"
-        eta = eta_initial if eta_initial is not None else 1.0 / problem.lam
         config = SolverConfig(
             eta_initial=eta,
             outer_tolerance=tol,
@@ -172,7 +184,14 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--max-ist-iters", type=int, default=50000)
     slv.add_argument("--w-init", default="zero", help="zero | random:SEED")
 
-    bench = sub.add_parser("bench", help="run a solver/size/seed cross-product")
+    bench = sub.add_parser(
+        "bench",
+        help="run solvers on every size/seed instance",
+        description="Generate each (size, seed) instance once and run every "
+                    "requested solver on it.  Writes one CSV row per solve; a "
+                    "solve that raised has converged=false, final_gap=inf and "
+                    "its reason ('Type: message') in the error column.",
+    )
     bench.add_argument("--family", required=True, choices=probgen.FAMILIES)
     bench.add_argument("--sizes", default=None,
                        help="comma list; m for normal/poor, n for largescale")
@@ -187,7 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--aggregate-out", default=None,
                        help="median CSV path (default: <out>_agg.csv)")
     bench.add_argument("--workers", type=int, default=None,
-                       help="parallel cells (default: DAL_NUM_THREADS or 1)")
+                       help="instances run in parallel (default and cap: "
+                            "DAL_NUM_THREADS, else 1)")
     bench.add_argument("--allow-huge", action="store_true",
                        help=f"permit largescale n above {HUGE_N_CAP}")
     return parser
@@ -250,41 +270,51 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _bench_cell(family, size, seed, solver, args):
+def _bench_instance(family, size, seed, solvers, args) -> list[BenchRecord]:
+    """Generate one (size, seed) instance and run every solver on it, in order."""
     if family == "largescale":
         spec = GenSpec(family=family, n=size, seed=seed)
     else:
         spec = GenSpec(family=family, m=size, seed=seed)
-    generated = probgen.generate(spec)
-    p = generated.problem
+    p = probgen.generate(spec).problem
     if args.w_init == "random":
         # Derive the initial-vector stream from the problem seed.
         w0 = _initial_w(f"random:{seed + 0x5EED}", p.n)
     else:
         w0 = _initial_w(args.w_init, p.n)
-    try:
-        report, eta = run_solver(
-            solver,
-            p,
-            tol=args.tol,
-            eta_initial=args.eta1,
-            max_outer=args.max_outer,
-            max_ist_iters=args.max_ist_iters,
-            w_initial=w0,
-        )
-        return _record_from_report(report, solver, family, p.m, p.n, seed, eta)
-    except (NumericError, LineSearchError):
-        # Partial failures become non-converged rows; the harness continues.
-        return BenchRecord(
-            solver=solver, family=family, m=p.m, n=p.n, seed=seed,
-            wall_time_s=0.0, outer_iters=0, inner_iters=0, nnz_fraction=0.0,
-            final_gap=float("inf"), converged=False, eta_initial=args.eta1,
-        )
+    records = []
+    for solver in solvers:
+        start = time.perf_counter()
+        try:
+            report, eta = run_solver(
+                solver,
+                p,
+                tol=args.tol,
+                eta_initial=args.eta1,
+                max_outer=args.max_outer,
+                max_ist_iters=args.max_ist_iters,
+                w_initial=w0,
+            )
+        except (NumericError, LineSearchError, FloatingPointError) as exc:
+            # A failed solve is a non-converged row with its reason; the
+            # remaining solvers and instances still run.
+            records.append(BenchRecord(
+                solver=solver, family=family, m=p.m, n=p.n, seed=seed,
+                wall_time_s=time.perf_counter() - start, outer_iters=0,
+                inner_iters=0, nnz_fraction=0.0, final_gap=float("inf"),
+                converged=False, eta_initial=_resolved_eta(solver, p, args.eta1),
+                error=f"{type(exc).__name__}: {exc}",
+            ))
+        else:
+            records.append(
+                _record_from_report(report, solver, family, p.m, p.n, seed, eta))
+    return records
 
 
 _CSV_FIELDS = [
     "solver", "family", "m", "n", "seed", "wall_time_s", "outer_iters",
     "inner_iters", "nnz_fraction", "final_gap", "converged", "eta_initial",
+    "error",
 ]
 
 _MEDIAN_FIELDS = ["wall_time_s", "outer_iters", "inner_iters", "nnz_fraction",
@@ -370,22 +400,17 @@ def _cmd_bench(args, parser) -> int:
         workers = min(workers, int(env_cap))
     workers = max(1, workers)
 
-    cells = [
-        (size, seed, solver)
-        for size in sizes
-        for seed in seeds
-        for solver in solvers
-    ]
+    instances = [(size, seed) for size in sizes for seed in seeds]
+
+    def run(instance):
+        return _bench_instance(args.family, *instance, solvers, args)
+
     if workers == 1:
-        records = [_bench_cell(args.family, sz, sd, sv, args) for sz, sd, sv in cells]
+        per_instance = map(run, instances)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(
-                    lambda cell: _bench_cell(args.family, cell[0], cell[1], cell[2], args),
-                    cells,
-                )
-            )
+            per_instance = list(pool.map(run, instances))
+    records = [rec for recs in per_instance for rec in recs]
     records.sort(key=lambda r: (r.solver, r.m, r.n, r.seed))
     write_records_csv(args.out, records)
     agg_path = args.aggregate_out

@@ -5,11 +5,12 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from dalsparse import load_problem, save_problem
+from dalsparse import cli, load_problem, probgen, save_problem
 from dalsparse.cli import main
 
 
@@ -254,6 +255,99 @@ class TestBench:
              "--solvers", "dal-cg", "--out", str(out), "--workers", "8"], capsys)
         assert code == 0
         assert len(read_csv(out)) == 3
+
+
+class TestBenchInstances:
+    """Each (size, seed) instance is generated once and shared by its solvers."""
+
+    BASE = ["bench", "--family", "normal", "--sizes", "16,32", "--seeds", "1..3",
+            "--solvers", "dal-cg,ist-bb", "--tol", "1e-3", "--w-init", "random"]
+
+    @pytest.fixture()
+    def recorded(self, monkeypatch):
+        """Record every ``generate`` result and every ``run_solver`` call."""
+        generated = []  # (m, seed, problem)
+        calls = []  # (solver, problem, w_initial before, w_initial after)
+        real_generate, real_run_solver = probgen.generate, cli.run_solver
+
+        def generate(spec):
+            gen = real_generate(spec)
+            generated.append((gen.problem.m, spec.seed, gen.problem))
+            return gen
+
+        def run_solver(solver, problem, *args, **kwargs):
+            w0 = kwargs["w_initial"]
+            before = w0.copy()
+            result = real_run_solver(solver, problem, *args, **kwargs)
+            calls.append((solver, problem, before, w0.copy()))
+            return result
+
+        monkeypatch.setattr(probgen, "generate", generate)
+        monkeypatch.setattr(cli, "run_solver", run_solver)
+        return generated, calls
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_one_generate_per_instance_shared_by_solvers(
+            self, tmp_path, capsys, recorded, workers):
+        generated, calls = recorded
+        code, _, _ = run_main(
+            self.BASE + ["--out", str(tmp_path / "rows.csv"), "--workers", workers],
+            capsys)
+        assert code == 0
+        instances = sorted((m, seed) for m, seed, _ in generated)
+        assert instances == [(m, seed) for m in (16, 32) for seed in (1, 2, 3)]
+        assert len(calls) == 2 * len(generated)
+        for _, _, problem in generated:
+            solvers = [solver for solver, p, _, _ in calls if p is problem]
+            assert sorted(solvers) == ["dal-cg", "ist-bb"]
+        for _, _, before, after in calls:
+            np.testing.assert_array_equal(after, before)
+
+
+class TestBenchFailedSolve:
+    """A solve that raises becomes a row with its reason; the sweep goes on."""
+
+    @pytest.mark.parametrize("failing, eta", [("dal-cg", repr(1 / 0.025)),
+                                              ("ist-bb", "")])
+    def test_failed_row_carries_reason(self, tmp_path, capsys, monkeypatch,
+                                       failing, eta):
+        targets = []
+        real_generate, real_run_solver = probgen.generate, cli.run_solver
+
+        def generate(spec):
+            gen = real_generate(spec)
+            if spec.seed == 2:
+                targets.append(gen.problem)
+            return gen
+
+        def run_solver(solver, problem, *args, **kwargs):
+            if solver == failing and any(problem is t for t in targets):
+                time.sleep(0.05)
+                raise FloatingPointError("overflow encountered in matmul")
+            return real_run_solver(solver, problem, *args, **kwargs)
+
+        monkeypatch.setattr(probgen, "generate", generate)
+        monkeypatch.setattr(cli, "run_solver", run_solver)
+        out = tmp_path / "rows.csv"
+        code, _, _ = run_main(
+            ["bench", "--family", "normal", "--sizes", "16", "--seeds", "1..3",
+             "--solvers", "dal-cg,ist-bb", "--out", str(out)], capsys)
+        assert code == 0
+        rows = read_csv(out)
+        assert rows[0][-1] == "error"
+        idx = {name: i for i, name in enumerate(rows[0])}
+        by_key = {(r[idx["solver"]], int(r[idx["seed"]])): r for r in rows[1:]}
+        assert len(by_key) == 6
+        failed = by_key[(failing, 2)]
+        assert failed[idx["error"]] == "FloatingPointError: overflow encountered in matmul"
+        assert failed[idx["converged"]] == "false"
+        assert failed[idx["final_gap"]] == "inf"
+        assert float(failed[idx["wall_time_s"]]) >= 0.05
+        assert failed[idx["eta_initial"]] == eta
+        for key, row in by_key.items():
+            if key != (failing, 2):
+                assert row[idx["error"]] == ""
+                assert row[idx["converged"]] == "true"
 
 
 class TestConsoleEntry:
