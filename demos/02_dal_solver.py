@@ -1,8 +1,9 @@
 """The main solver: a handful of outer iterations, each a smooth Newton solve.
 
-Every outer step minimizes a differentiable dual objective to a scheduled
-tolerance, then refreshes the primal vector by one soft-thresholding, so each
-iterate is exactly sparse.  The barrier weight doubles per step, which is what
+Every outer step minimizes a differentiable dual objective until its gradient
+is small next to the primal step it would make (or below a shrinking floor),
+then refreshes the primal vector by one soft-thresholding, so each iterate is
+exactly sparse.  The barrier weight doubles per step, which is what
 buys the short outer loop.
 """
 

@@ -3,7 +3,9 @@
 Scaling the negated residual into the dual-feasible slab gives a computable
 lower bound on the optimal value at any time; the solver stops when the
 relative primal-dual gap it certifies crosses the tolerance.  The bound is
-conservative away from the optimum and tight at it.
+conservative away from the optimum and tight at it.  The DAL solver scales its
+own dual multiplier the same way for a cheaper gap, and forms the residual
+certificate only once that one meets the tolerance.
 """
 
 import numpy as np
@@ -33,6 +35,7 @@ print(f"  feasibility ||A^T alpha_hat||_inf / lambda = "
       f"{np.abs(p.design.T @ cert.alpha_hat).max() / p.lam:.12f}")
 print()
 
-print("gap per outer iteration (not necessarily monotone, final <= tol):")
+print("gap per outer iteration (the multiplier's until it meets tol, then the "
+      "residual's; not necessarily monotone, final <= tol):")
 for k, g in enumerate(report.gap_trace, start=1):
     print(f"  outer {k}: {g:.3e}")

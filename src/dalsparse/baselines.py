@@ -121,6 +121,7 @@ def ist_solve(
     p: ProblemInstance,
     config: IstConfig | None = None,
     w_initial: np.ndarray | None = None,
+    lipschitz: float | None = None,
 ) -> SolveReport:
     """Iterate :func:`ist_step` until the relative duality gap meets tolerance.
 
@@ -134,6 +135,9 @@ def ist_solve(
     counts accepted steps, and ``objective_trace`` holds one value per
     accepted iterate.  Reports in the same shape as the main solver;
     ``inner_newton_iters`` and ``pcg_iters_total`` stay zero.
+
+    ``lipschitz`` (= :func:`estimate_spectral_norm_sq` of the design) may be
+    supplied to reuse an estimate a caller already made.
     """
     if config is None:
         config = IstConfig()
@@ -143,7 +147,8 @@ def ist_solve(
         w = np.array(w_initial, dtype=float).ravel()
         if w.shape[0] != p.n:
             raise ValueError(f"w_initial has length {w.shape[0]}, expected {p.n}")
-    lipschitz = estimate_spectral_norm_sq(p.design)
+    if lipschitz is None:
+        lipschitz = estimate_spectral_norm_sq(p.design)
     if config.step_rule == "constant":
         if lipschitz > 0.0 and not config.tau < 2.0 / lipschitz:
             raise ValueError(

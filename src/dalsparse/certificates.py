@@ -10,6 +10,14 @@ Sign convention: the dual maximizer satisfies ``alpha* = b - A w*`` at the
 optimum, so the certificate is built from ``b - A w`` (not ``A w - b``); the
 orientation is pinned by a unit test on instances with known closed-form
 optima, where this choice drives the gap to zero.
+
+Scaling a candidate ``c`` into the feasible set needs only ``A^T c``, and the
+scaled point's own product is then ``s * A^T c``, so no second product is
+needed to check it.  The certificate at ``w`` therefore costs two products
+from ``w`` alone, one when the residual ``A w - b`` is supplied, and none when
+``A^T (A w - b)`` is supplied too.  The DAL solver applies the same scaling
+to its multiplier ``alpha``, whose ``A^T alpha`` it already holds, to get a
+second sound certificate for free (see :func:`dalsparse.dal.solve`).
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import ProblemInstance, _primal_value, dual_objective
+from .prox import ProblemInstance, _dual_value, _primal_value
 
 # Guards division by f(w) = 0, reachable only for b = 0 where w = 0 is optimal.
 GAP_DENOMINATOR_FLOOR = 1e-30
@@ -56,10 +64,35 @@ def feasible_dual_point(
         residual = p.design @ w - p.observations
     if design_t_residual is None:
         design_t_residual = p.design.T @ residual
-    corr = float(np.abs(design_t_residual).max())
+    return _into_feasible(p, -residual, design_t_residual)
+
+
+def _into_feasible(
+    p: ProblemInstance, candidate: np.ndarray, design_t_candidate: np.ndarray
+) -> np.ndarray:
+    """``candidate * min(1, lam / ||A^T candidate||_inf)``, given ``A^T
+    candidate`` (its sign does not matter); a zero product leaves the
+    candidate unscaled."""
+    corr = float(np.abs(design_t_candidate).max())
     if corr == 0.0:
-        return -residual
-    return (-min(1.0, p.lam / corr)) * residual
+        return candidate
+    return min(1.0, p.lam / corr) * candidate
+
+
+def _certificate(
+    p: ProblemInstance,
+    primal: float,
+    candidate: np.ndarray,
+    design_t_candidate: np.ndarray,
+) -> DualCertificate:
+    """Certificate of a primal value ``primal`` by ``candidate`` scaled into the
+    feasible set; O(m + n), no product with the design."""
+    alpha_hat = _into_feasible(p, candidate, design_t_candidate)
+    dual = _dual_value(p, alpha_hat)
+    gap = max(0.0, (primal - dual) / max(primal, GAP_DENOMINATOR_FLOOR))
+    return DualCertificate(
+        alpha_hat=alpha_hat, primal_value=primal, dual_value=dual, relative_gap=gap
+    )
 
 
 def dual_certificate(
@@ -68,17 +101,20 @@ def dual_certificate(
     residual: np.ndarray | None = None,
     design_t_residual: np.ndarray | None = None,
 ) -> DualCertificate:
-    """Build the full certificate (feasible point, primal/dual values, gap) at ``w``."""
+    """Build the full certificate (feasible point, primal/dual values, gap) at ``w``.
+
+    The dual value is taken from the scaled residual directly: its feasibility
+    follows from the known ``A^T alpha_hat = -s * A^T residual``, so no product
+    re-checks it (:func:`dalsparse.prox.dual_objective` does, for outside
+    callers).  ``residual`` and ``design_t_residual`` may be supplied as in
+    :func:`feasible_dual_point`; with both, the certificate makes no product.
+    """
     w = np.asarray(w, dtype=float).ravel()
     if residual is None:
         residual = p.design @ w - p.observations
-    alpha_hat = feasible_dual_point(p, w, residual, design_t_residual)
-    primal = _primal_value(p, w, residual)
-    dual = dual_objective(p, alpha_hat)
-    gap = max(0.0, (primal - dual) / max(primal, GAP_DENOMINATOR_FLOOR))
-    return DualCertificate(
-        alpha_hat=alpha_hat, primal_value=primal, dual_value=dual, relative_gap=gap
-    )
+    if design_t_residual is None:
+        design_t_residual = p.design.T @ residual
+    return _certificate(p, _primal_value(p, w, residual), -residual, design_t_residual)
 
 
 def relative_duality_gap(

@@ -137,7 +137,7 @@ def run_solver(
         tau = 1.0 / lipschitz if lipschitz > 0 else 1.0
         config = IstConfig(step_rule="constant", tau=tau, tolerance=tol,
                            max_iters=max_ist_iters)
-        return ist_solve(problem, config, w_initial), None
+        return ist_solve(problem, config, w_initial, lipschitz), None
     if solver == "ist-bb":
         config = IstConfig(step_rule="bb", tolerance=tol, max_iters=max_ist_iters)
         return ist_solve(problem, config, w_initial), None

@@ -7,12 +7,21 @@ multiplier estimate w_k, the inner problem is
     minimize_alpha  g(alpha) = 0.5*||alpha - b||^2
                              + (eta_k/2)*||ST_lam(A^T alpha + w_k/eta_k)||^2
 
-solved by a damped Newton method to gradient norm eps_k, after which the
-multiplier is refreshed by w_{k+1} = ST_{lam*eta_k}(w_k + eta_k*A^T alpha_k)
-and the schedules advance (eta grows geometrically, eps shrinks).  Every
-iterate w_k is exactly sparse, and only the "active" columns of A (those with
-|q_j| > lam for q = A^T alpha + w/eta) enter the inner gradient and Hessian,
-so per-iteration cost tracks the sparsity of the current solution.
+solved by a damped Newton method, after which the multiplier is refreshed by
+w_{k+1} = ST_{lam*eta_k}(w_k + eta_k*A^T alpha_k) and eta grows
+geometrically.  The inner solve stops on primal progress, by the rule that
+Tomioka, Suzuki & Sugiyama analyse (JMLR 12, 2011):
+
+    ||grad g(alpha)|| <= ||w_{k+1}(alpha) - w_k|| / sqrt(eta_k),
+
+where w_{k+1}(alpha) is the update the current alpha would make, or once the
+gradient norm reaches the floor eps_k (1e-4*sqrt(m), halved every outer
+iteration by default), whichever comes first.  Early on the multiplier moves
+far and a rough inner solve suffices; near the optimum the move vanishes and
+eps_k takes over.  Every iterate w_k is exactly sparse, and only the "active"
+columns of A (those with |q_j| > lam for q = A^T alpha + w/eta) enter the
+inner gradient and Hessian, so per-iteration cost tracks the sparsity of the
+current solution.
 
 Two inner strategies are provided: a dense Cholesky factorization of the
 m x m Newton system, and a diagonally preconditioned conjugate gradient
@@ -29,11 +38,18 @@ point's ``A^T alpha + step*A^T d`` to the next Newton step; the multiplier
 update reads the same vector; and ``A w`` is formed from the nonzero columns
 of the sparse iterate.  :func:`solve` takes one fresh ``A^T alpha`` after
 every inner solve (and after every descent retry), which is the only refresh
-and bounds the rounding drift of the carried vector.  A solve therefore makes
-about ``Newton steps + 3*outer iterations + 1`` full-design products: one per
-Newton step (the line search), and per outer iteration the refresh plus the
-two of the duality-gap certificate, plus ``A^T b`` at the start.  Masked
-workspaces (see :class:`InnerWorkspace`) add their matrix-free products.
+and bounds the rounding drift of the carried vector.
+
+The same fresh ``A^T alpha`` certifies the iterate cheaply: scaled into the
+dual feasible set, alpha gives a duality gap in O(m + n).  Only when that gap
+meets the tolerance does the solver form ``A^T (A w - b)`` for the residual
+certificate of :mod:`dalsparse.certificates`, and it stops only on the
+latter, so the returned ``w`` is certified from its own residual.  A solve
+therefore makes about ``Newton steps + outer iterations + residual
+certificates + 1`` full-design products: one per Newton step (the line
+search), the refresh per outer iteration, one per residual certificate, and
+``A^T b`` at the start.  Masked workspaces (see :class:`InnerWorkspace`), a
+dense iterate's ``A w`` and descent retries add to it.
 """
 
 from __future__ import annotations
@@ -45,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .certificates import relative_duality_gap
+from .certificates import _certificate, relative_duality_gap
 from .prox import ProblemInstance, _primal_value, soft_threshold
 
 INNER_VARIANTS = ("cholesky", "pcg")
@@ -86,7 +102,10 @@ class SolverConfig:
     """Schedules, tolerances and caps for :func:`solve`.
 
     ``eta_initial=None`` resolves to ``1/lam`` at solve time; the best value
-    is problem dependent and worth tuning per family.
+    is problem dependent and worth tuning per family.  ``eps_initial_scale``
+    (times sqrt(m)), ``eps_shrink`` and ``eps_floor`` set the gradient-norm
+    floor eps_k of the inner solve, which also stops on primal progress (see
+    the module docstring).
     """
 
     eta_initial: float | None = None
@@ -126,7 +145,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a solve: final iterate, certificates, and effort accounting."""
+    """Outcome of a solve: final iterate, certificates, and effort accounting.
+
+    ``gap_trace`` holds one relative duality gap per outer iteration.  DAL
+    forms the residual certificate only once the gap of its scaled multiplier
+    meets the tolerance; entries that skipped it hold that multiplier gap,
+    which is still a sound upper bound.  ``relative_gap`` of a converged
+    solve is always the residual gap.  ``inner_cap_hits`` counts inner solves
+    that reached ``max_inner_newton`` without meeting their stop rule.
+    """
 
     w_final: np.ndarray
     primal_value: float
@@ -400,6 +427,28 @@ def backtracking_line_search(
     return alpha, step
 
 
+def _multiplier_step(ws, w):
+    """||ST_{lam*eta}(w + eta*A^T alpha) - w|| / sqrt(eta), from q; O(n)."""
+    # w + eta*A^T alpha = eta*q, and ST_{lam*eta}(eta*q) = eta*ST_lam(q).
+    step = -w
+    qa = ws.q[ws.active]
+    step[ws.active] += ws.eta * (qa - ws.p.lam * np.sign(qa))
+    return float(np.linalg.norm(step)) / math.sqrt(ws.eta)
+
+
+def _inner_done(ws, w, gnorm, eps, progress_factor):
+    """The inner stop rule: gnorm <= eps, or gnorm <= progress_factor times
+    the multiplier step when a factor is given."""
+    if gnorm <= eps:
+        return True
+    if progress_factor is None:
+        return False
+    threshold = progress_factor * _multiplier_step(ws, w)
+    if not math.isfinite(threshold):
+        raise NumericError("non-finite inner stop threshold")
+    return gnorm <= threshold
+
+
 def inner_solve(
     p: ProblemInstance,
     w: np.ndarray,
@@ -408,9 +457,17 @@ def inner_solve(
     alpha_start: np.ndarray,
     config: SolverConfig,
     design_t_alpha: np.ndarray | None = None,
+    progress_factor: float | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Newton-iterate the inner problem from ``alpha_start`` until the gradient
     norm falls to ``eps`` or the iteration cap is reached.
+
+    With ``progress_factor`` the loop also stops once the gradient norm is at
+    most ``progress_factor * ||ST_{lam*eta}(w + eta*A^T alpha) - w|| /
+    sqrt(eta)``, the primal-progress rule of the module docstring; it costs
+    O(n) per step and no product, and a non-finite threshold raises
+    :class:`NumericError`.  ``eps`` stays an always-on floor and is tested
+    first.
 
     Returns the final alpha, the Newton steps taken, and total CG iterations
     (zero for the Cholesky variant).  ``design_t_alpha`` (= ``A^T
@@ -420,6 +477,7 @@ def inner_solve(
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    w = np.asarray(w, dtype=float)
     alpha = np.array(alpha_start, dtype=float)
     newton_iters = 0
     pcg_iters = 0
@@ -427,7 +485,7 @@ def inner_solve(
         ws = inner_workspace(p, w, eta, alpha, design_t_alpha)
         grad = _gradient(ws)
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= eps:
+        if _inner_done(ws, w, gnorm, eps, progress_factor):
             break
         if config.inner_variant == "cholesky":
             direction = _newton_cholesky(ws, grad)
@@ -478,9 +536,13 @@ def solve(
     """Run the full outer loop until the relative duality gap meets tolerance.
 
     The inner solve warm-starts from the previous outer iteration's alpha
-    (initially alpha = b, the minimizer of the barrier-free quadratic term).
-    Exhausting ``max_outer`` flags the report non-converged rather than
-    raising.
+    (initially alpha = b, the minimizer of the barrier-free quadratic term)
+    and stops on primal progress or at the scheduled eps, whichever comes
+    first.  After it, the gap of ``alpha * min(1, lam/||A^T alpha||_inf)``
+    is computed from the fresh ``A^T alpha``; only when it meets the
+    tolerance is the residual certificate formed, and only that certificate
+    ends the loop.  Exhausting ``max_outer`` flags the report non-converged
+    rather than raising.
     """
     if config is None:
         config = SolverConfig()
@@ -503,28 +565,30 @@ def solve(
     start = time.perf_counter()
     design_t_alpha = p.design.T @ alpha
     for k in range(1, config.max_outer + 1):
-        eps_inner = eps
+        eps_inner, progress = eps, 1.0
         while True:
             alpha, n_newton, n_pcg = inner_solve(
-                p, w, eta, eps_inner, alpha, config, design_t_alpha
+                p, w, eta, eps_inner, alpha, config, design_t_alpha, progress
             )
             newton_total += n_newton
             pcg_total += n_pcg
             # The one fresh A^T alpha per inner solve: it resets the drift the
             # line searches' updates accumulate, and everything below reuses it.
             design_t_alpha = p.design.T @ alpha
-            # Cap hits count the solve at the scheduled eps, not the descent
-            # retries below that refine it.
+            # Cap hits count the first-pass solve against its own stop rule,
+            # not the descent retries below that refine it.
             if eps_inner == eps and n_newton >= config.max_inner_newton:
                 ws = inner_workspace(p, w, eta, alpha, design_t_alpha)
-                if float(np.linalg.norm(_gradient(ws))) > eps:
+                gnorm = float(np.linalg.norm(_gradient(ws)))
+                if not _inner_done(ws, w, gnorm, eps, progress):
                     cap_hits += 1
             w_new = outer_update(w, alpha, eta, p, design_t_alpha)
             residual = _residual(p, w_new)
             primal = _primal_value(p, w_new, residual)
-            # An eps-approximate inner solve can leak a tiny objective
-            # increase; the exact update never does, so refine (warm-started)
-            # until the descent contract is restored or the eps floor is hit.
+            # An approximate inner solve can leak a tiny objective increase;
+            # the exact update never does, so refine (warm-started, both stop
+            # thresholds tightened) until the descent contract is restored or
+            # the eps floor is hit.
             if not (
                 objective_trace
                 and primal > objective_trace[-1]
@@ -532,15 +596,20 @@ def solve(
             ):
                 break
             eps_inner = max(0.0625 * eps_inner, config.eps_floor)
+            progress *= 0.0625
         w = w_new
-        design_t_residual = p.design.T @ residual
         if not math.isfinite(primal):
             raise NumericError(f"primal objective became non-finite at outer step {k}")
-        gap = relative_duality_gap(p, w, residual, design_t_residual)
+        # Prescreen with alpha's own certificate (no product); the residual
+        # one, which alone may end the loop, is formed only once it passes.
+        gap = _certificate(p, primal, alpha, design_t_alpha).relative_gap
+        if gap <= config.outer_tolerance:
+            design_t_residual = p.design.T @ residual
+            gap = relative_duality_gap(p, w, residual, design_t_residual)
+            converged = gap <= config.outer_tolerance
         objective_trace.append(primal)
         gap_trace.append(gap)
-        if gap <= config.outer_tolerance:
-            converged = True
+        if converged:
             break
         eta = min(eta * config.eta_growth, config.eta_cap)
         eps = max(eps * config.eps_shrink, config.eps_floor)

@@ -118,6 +118,11 @@ def dual_objective(p: ProblemInstance, alpha: np.ndarray) -> float:
         raise DualInfeasibleError(
             f"||A^T alpha||_inf = {corr:.6g} exceeds lam = {p.lam:.6g}"
         )
+    return _dual_value(p, alpha)
+
+
+def _dual_value(p: ProblemInstance, alpha: np.ndarray) -> float:
+    """-0.5*||alpha - b||^2 + 0.5*||b||^2 for an alpha known to be feasible."""
     diff = alpha - p.observations
     b = p.observations
     return -0.5 * float(diff @ diff) + 0.5 * float(b @ b)

@@ -3,12 +3,16 @@
 import numpy as np
 
 from dalsparse import (
+    GenSpec,
     ProblemInstance,
+    SolverConfig,
     dual_certificate,
     dual_objective,
     feasible_dual_point,
+    generate,
     primal_objective,
     relative_duality_gap,
+    solve,
 )
 from oracles import cd_lasso
 
@@ -97,3 +101,19 @@ def test_gap_conservative_away_from_optimum():
     p = random_problem(rng)
     w_far = rng.standard_normal(p.n) * 100
     assert relative_duality_gap(p, w_far) > 0.1
+
+
+def test_solver_gap_traces_bound_suboptimality_on_oracle_instances():
+    # DAL's gap trace mixes the gaps of its scaled multiplier and of the
+    # residual certificate; both must bound the true relative suboptimality.
+    for seed in range(1, 21):
+        p = generate(GenSpec(family="normal", m=64, seed=seed)).problem
+        _, f_star, _ = cd_lasso(p.design, p.observations, p.lam, gap_tol=1e-10)
+        for config in (
+            SolverConfig(outer_tolerance=1e-6, inner_variant="cholesky"),
+            SolverConfig(outer_tolerance=1e-6, inner_variant="pcg"),
+            SolverConfig(outer_tolerance=1e-3),
+        ):
+            report = solve(p, config)
+            for primal, gap in zip(report.objective_trace, report.gap_trace):
+                assert gap >= (primal - f_star) / primal

@@ -10,7 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from dalsparse import cli, load_problem, probgen, save_problem
+from dalsparse import (
+    IstConfig,
+    baselines,
+    cli,
+    ist_solve,
+    load_problem,
+    probgen,
+    save_problem,
+)
 from dalsparse.cli import main
 
 
@@ -348,6 +356,32 @@ class TestBenchFailedSolve:
             if key != (failing, 2):
                 assert row[idx["error"]] == ""
                 assert row[idx["converged"]] == "true"
+
+
+class TestIstSpectralEstimate:
+    """``run_solver("ist", ...)`` runs the power iteration once and hands the
+    estimate to ``ist_solve``."""
+
+    def test_one_estimate_per_solve(self, monkeypatch):
+        estimate = baselines.estimate_spectral_norm_sq
+        calls = []
+
+        def counted(design, *args, **kwargs):
+            calls.append(design.shape)
+            return estimate(design, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_spectral_norm_sq", counted)
+        monkeypatch.setattr(baselines, "estimate_spectral_norm_sq", counted)
+        p = probgen.generate(probgen.GenSpec(family="normal", m=32, seed=4)).problem
+        report, _ = cli.run_solver("ist", p, 1e-3)
+        assert len(calls) == 1
+        assert report.converged
+        # Same iterates as a solve that makes its own estimate.
+        config = IstConfig(step_rule="constant", tau=1.0 / estimate(p.design),
+                           tolerance=1e-3)
+        own = ist_solve(p, config)
+        np.testing.assert_array_equal(report.w_final, own.w_final)
+        assert report.gap_trace == own.gap_trace
 
 
 class TestConsoleEntry:

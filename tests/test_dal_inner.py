@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from dalsparse import (
+    GenSpec,
+    NumericError,
     ProblemInstance,
     SolverConfig,
     backtracking_line_search,
     compute_active_set,
     counters,
+    generate,
     inner_gradient,
     inner_objective,
     inner_solve,
@@ -16,6 +19,7 @@ from dalsparse import (
     newton_direction_cholesky,
     newton_direction_pcg,
     project_linf,
+    soft_threshold,
 )
 from dalsparse import dal
 
@@ -399,6 +403,64 @@ class TestInnerSolve:
         assert len(tail) >= 3
         for prev, nxt in list(zip(tail, tail[1:]))[-2:]:
             assert nxt <= 10.0 * prev**1.8
+
+
+def multiplier_step(p, w, eta, alpha):
+    """||ST_{lam*eta}(w + eta*A^T alpha) - w|| / sqrt(eta), computed directly."""
+    w_next = soft_threshold(w + eta * (p.design.T @ alpha), p.lam * eta)
+    return float(np.linalg.norm(w_next - w)) / np.sqrt(eta)
+
+
+class TestProgressStopRule:
+    """``inner_solve`` with a progress factor also stops once the gradient
+    norm is at most factor * multiplier step / sqrt(eta)."""
+
+    def test_returned_alpha_meets_rule(self):
+        rng = np.random.default_rng(18)
+        for variant in ("cholesky", "pcg"):
+            cfg = SolverConfig(inner_variant=variant)
+            steps_eps = steps_rule = 0
+            for _ in range(10):
+                p = random_problem(rng, m=8, n=24)
+                w = rng.standard_normal(24) * 0.2
+                eta = rng.uniform(1, 500)
+                eps = 1e-8
+                _, n_eps, _ = inner_solve(p, w, eta, eps, p.observations, cfg)
+                alpha, n_rule, _ = inner_solve(
+                    p, w, eta, eps, p.observations, cfg, None, 1.0
+                )
+                assert n_rule <= n_eps
+                steps_eps += n_eps
+                steps_rule += n_rule
+                if n_rule >= cfg.max_inner_newton:
+                    continue
+                gnorm = np.linalg.norm(inner_gradient(p, w, eta, alpha))
+                assert gnorm <= max(eps, multiplier_step(p, w, eta, alpha))
+            assert steps_rule < steps_eps
+
+    @pytest.mark.parametrize("variant", ["cholesky", "pcg"])
+    def test_fewer_newton_steps_at_first_outer_point(self, variant):
+        # The first inner problem of solve(): w = 0, eta = 1/lam, alpha = b,
+        # at the scheduled eps.
+        cfg = SolverConfig(inner_variant=variant)
+        for seed in (1, 2, 3):
+            p = generate(GenSpec(family="normal", m=64, seed=seed)).problem
+            w, eta, eps = np.zeros(p.n), 1.0 / p.lam, 1e-4 * np.sqrt(p.m)
+            _, n_eps, _ = inner_solve(p, w, eta, eps, p.observations, cfg)
+            alpha, n_rule, _ = inner_solve(p, w, eta, eps, p.observations, cfg, None, 1.0)
+            assert n_rule < n_eps
+            gnorm = np.linalg.norm(inner_gradient(p, w, eta, alpha))
+            assert gnorm <= max(eps, multiplier_step(p, w, eta, alpha))
+
+    def test_nonfinite_threshold_raises_numeric_error(self):
+        rng = np.random.default_rng(19)
+        p = random_problem(rng, m=8, n=24)
+        w = np.zeros(24)
+        w[3] = np.nan
+        # alpha = 0 keeps the gradient (about -b) finite and far above eps, so
+        # only the NaN threshold can end the loop.
+        with pytest.raises(NumericError):
+            inner_solve(p, w, 10.0, 1e-8, np.zeros(8), SolverConfig(), None, 1.0)
 
 
 class TestActiveSetOperator:

@@ -1,9 +1,11 @@
-"""Full-design product budget of a DAL solve, and the A^T alpha reuse arguments.
+"""Full-design product budget of a DAL solve and of a certificate, and the
+A^T alpha reuse arguments.
 
 A solve carries ``A^T alpha`` from each line search to the next Newton step
 and refreshes it once per inner solve, so it makes about one product with
-the whole design per Newton step plus three per outer iteration (the refresh
-and the two of the duality-gap certificate).
+the whole design per Newton step plus one per outer iteration, and one per
+residual duality-gap certificate, which it forms only once the certificate
+of its own multiplier meets the tolerance.
 """
 
 import copy
@@ -14,11 +16,14 @@ import pytest
 from dalsparse import (
     GenSpec,
     SolverConfig,
+    dual_certificate,
+    dual_objective,
     generate,
     inner_workspace,
     outer_update,
     solve,
 )
+from dalsparse import dal
 from dalsparse.dal import _residual
 
 
@@ -79,6 +84,54 @@ class TestProductBudget:
     def test_largescale(self):
         p = generate(GenSpec(family="largescale", n=4096, seed=1)).problem
         assert_within_budget(p, 1e-3)
+
+
+def assert_within_certified_budget(problem, tol, monkeypatch):
+    certificates = [0]
+    gap = dal.relative_duality_gap
+
+    def counted_gap(*args, **kwargs):
+        certificates[0] += 1
+        return gap(*args, **kwargs)
+
+    monkeypatch.setattr(dal, "relative_duality_gap", counted_gap)
+    counted, counter = counting(problem)
+    report = solve(counted, SolverConfig(outer_tolerance=tol, inner_variant="cholesky"))
+    assert report.converged
+    assert 1 <= certificates[0] <= report.outer_iters
+    budget = report.inner_newton_iters + report.outer_iters + 2 * certificates[0] + 2
+    assert counter[0] <= budget, (
+        counter[0], report.inner_newton_iters, report.outer_iters, certificates[0]
+    )
+
+
+class TestCertifiedProductBudget:
+    """Residual certificates are formed only after the multiplier's own gap
+    passes, and cost no feasibility product."""
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_normal_tight(self, seed, monkeypatch):
+        p = generate(GenSpec(family="normal", m=64, seed=seed)).problem
+        assert_within_certified_budget(p, 1e-6, monkeypatch)
+
+    def test_largescale(self, monkeypatch):
+        p = generate(GenSpec(family="largescale", n=4096, seed=1)).problem
+        assert_within_certified_budget(p, 1e-3, monkeypatch)
+
+
+class TestDualCertificateProducts:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_product_given_both_reuse_arguments(self, seed):
+        p = generate(GenSpec(family="normal", m=64, seed=seed)).problem
+        rng = np.random.default_rng(seed)
+        w = np.where(rng.random(p.n) < 0.1, rng.standard_normal(p.n), 0.0)
+        residual = p.design @ w - p.observations
+        design_t_residual = p.design.T @ residual
+        counted, counter = counting(p)
+        cert = dual_certificate(counted, w, residual, design_t_residual)
+        assert counter[0] == 0
+        expected = dual_objective(p, cert.alpha_hat)
+        assert cert.dual_value == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @pytest.fixture
