@@ -26,7 +26,7 @@ import numpy as np
 
 from .certificates import relative_duality_gap
 from .dal import NumericError, SolveReport
-from .prox import ProblemInstance, _primal_value, soft_threshold
+from .prox import ProblemInstance, _primal_value, _starting_point, soft_threshold
 
 STEP_RULES = ("constant", "bb")
 
@@ -141,12 +141,7 @@ def ist_solve(
     """
     if config is None:
         config = IstConfig()
-    if w_initial is None:
-        w = np.zeros(p.n)
-    else:
-        w = np.array(w_initial, dtype=float).ravel()
-        if w.shape[0] != p.n:
-            raise ValueError(f"w_initial has length {w.shape[0]}, expected {p.n}")
+    w = _starting_point(p, w_initial)
     if lipschitz is None:
         lipschitz = estimate_spectral_norm_sq(p.design)
     if config.step_rule == "constant":

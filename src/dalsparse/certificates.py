@@ -59,12 +59,7 @@ def feasible_dual_point(
     ``residual`` (= ``A w - b``) and ``design_t_residual`` (= ``A^T residual``)
     may be supplied to reuse matrix-vector products computed by a solver loop.
     """
-    w = np.asarray(w, dtype=float).ravel()
-    if residual is None:
-        residual = p.design @ w - p.observations
-    if design_t_residual is None:
-        design_t_residual = p.design.T @ residual
-    return _into_feasible(p, -residual, design_t_residual)
+    return dual_certificate(p, w, residual, design_t_residual).alpha_hat
 
 
 def _into_feasible(

@@ -6,8 +6,12 @@ Three subcommands:
 * ``solve`` -- run one solver on a problem file; emit a JSON record on stdout.
 * ``bench`` -- generate each (size, seed) instance of a family once, run every
   requested solver on it, and write a per-run CSV plus a per-(solver, size)
-  median aggregate CSV.  A solve that raises a numeric error becomes a
-  non-converged row whose ``error`` column holds ``Type: message``.
+  median aggregate CSV.
+
+Every run becomes a :class:`BenchRecord` in :func:`_run_and_record`; its
+fields are the JSON keys and the CSV columns.  A solve that raises a numeric
+error becomes a non-converged record whose ``error`` holds ``Type: message``:
+``bench`` writes it as a row and goes on, ``solve`` prints it and exits 4.
 
 Exit codes: 0 success (non-convergence is data, not failure), 2 usage,
 3 data/format/IO, 4 internal numeric error.  ``--workers`` (capped by
@@ -21,12 +25,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -51,9 +56,17 @@ DEFAULT_SIZES = {
 HUGE_N_CAP = 2**17
 
 
+# What a solve may raise that the harness records instead of aborting on.
+_NUMERIC_ERRORS = (NumericError, LineSearchError, FloatingPointError)
+
+
 @dataclass(frozen=True)
 class BenchRecord:
-    """One solver run in the shape shared by JSON and CSV outputs."""
+    """One solver run in the shape shared by JSON and CSV outputs.
+
+    The outcome fields default to those of a solve that raised: no
+    iterations, an infinite gap, not converged.
+    """
 
     solver: str
     family: str | None
@@ -61,38 +74,13 @@ class BenchRecord:
     n: int
     seed: int | None
     wall_time_s: float
-    outer_iters: int
-    inner_iters: int
-    nnz_fraction: float
-    final_gap: float
-    converged: bool
-    eta_initial: float | None
+    outer_iters: int = 0
+    inner_iters: int = 0
+    nnz_fraction: float = 0.0
+    final_gap: float = math.inf
+    converged: bool = False
+    eta_initial: float | None = None
     error: str | None = None
-
-
-def _record_from_report(
-    report: SolveReport,
-    solver: str,
-    family: str | None,
-    m: int,
-    n: int,
-    seed: int | None,
-    eta_initial: float | None,
-) -> BenchRecord:
-    return BenchRecord(
-        solver=solver,
-        family=family,
-        m=m,
-        n=n,
-        seed=seed,
-        wall_time_s=report.wall_time_seconds,
-        outer_iters=report.outer_iters,
-        inner_iters=report.inner_newton_iters,
-        nnz_fraction=report.nnz_fraction,
-        final_gap=report.relative_gap,
-        converged=report.converged,
-        eta_initial=eta_initial,
-    )
 
 
 def _initial_w(mode: str, n: int) -> np.ndarray | None:
@@ -144,14 +132,55 @@ def run_solver(
     raise ValueError(f"unknown solver {solver!r}")
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _run_and_record(
+    solver: str,
+    problem,
+    w_initial: np.ndarray | None,
+    args,
+    family: str | None = None,
+    seed: int | None = None,
+) -> BenchRecord:
+    """Run ``solver`` through :func:`run_solver` with the command's flags.
+
+    A numeric error becomes the failed record: the time until it raised,
+    the eta the solver was given, and ``Type: message`` in ``error``.
+    """
+    common = dict(solver=solver, family=family, m=problem.m, n=problem.n, seed=seed)
+    start = time.perf_counter()
+    try:
+        report, eta = run_solver(
+            solver,
+            problem,
+            tol=args.tol,
+            eta_initial=args.eta1,
+            max_outer=args.max_outer,
+            max_ist_iters=args.max_ist_iters,
+            w_initial=w_initial,
+        )
+    except _NUMERIC_ERRORS as exc:
+        return BenchRecord(
+            **common,
+            wall_time_s=time.perf_counter() - start,
+            eta_initial=_resolved_eta(solver, problem, args.eta1),
+            error=f"{type(exc).__name__}: {exc}",
+        )
+    return BenchRecord(
+        **common,
+        wall_time_s=report.wall_time_seconds,
+        outer_iters=report.outer_iters,
+        inner_iters=report.inner_newton_iters,
+        nnz_fraction=report.nnz_fraction,
+        final_gap=report.relative_gap,
+        converged=report.converged,
+        eta_initial=eta,
+    )
+
+
+def _parse_ints(text: str) -> list[int]:
+    """A comma list (``3,5,9``) or an inclusive range (``1..10``)."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",") if s]
-
-
-def _parse_sizes(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s]
 
 
@@ -194,7 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--family", required=True, choices=probgen.FAMILIES)
     bench.add_argument("--sizes", default=None,
-                       help="comma list; m for normal/poor, n for largescale")
+                       help="e.g. 128,256 or 128..130; m for normal/poor, "
+                            "n for largescale")
     bench.add_argument("--seeds", default="1..10", help="e.g. 1..10 or 3,5,9")
     bench.add_argument("--solvers", default=",".join(SOLVER_IDS))
     bench.add_argument("--tol", type=float, default=1e-3)
@@ -246,20 +276,12 @@ def _cmd_gen(args, parser) -> int:
 
 
 def _cmd_solve(args) -> int:
-    generated = probgen.load_problem(args.problem)
-    p = generated.problem
-    w0 = _initial_w(args.w_init, p.n)
-    report, eta = run_solver(
-        args.solver,
-        p,
-        tol=args.tol,
-        eta_initial=args.eta1,
-        max_outer=args.max_outer,
-        max_ist_iters=args.max_ist_iters,
-        w_initial=w0,
-    )
-    record = _record_from_report(report, args.solver, None, p.m, p.n, None, eta)
+    p = probgen.load_problem(args.problem).problem
+    record = _run_and_record(args.solver, p, _initial_w(args.w_init, p.n), args)
     print(json.dumps(asdict(record)))
+    if record.error is not None:
+        print(f"numeric error: {record.error}", file=sys.stderr)
+        return EXIT_NUMERIC
     status = "converged" if record.converged else "NOT converged"
     print(
         f"{args.solver} on {args.problem}: {status}, gap={record.final_gap:.3e}, "
@@ -282,43 +304,14 @@ def _bench_instance(family, size, seed, solvers, args) -> list[BenchRecord]:
         w0 = _initial_w(f"random:{seed + 0x5EED}", p.n)
     else:
         w0 = _initial_w(args.w_init, p.n)
-    records = []
-    for solver in solvers:
-        start = time.perf_counter()
-        try:
-            report, eta = run_solver(
-                solver,
-                p,
-                tol=args.tol,
-                eta_initial=args.eta1,
-                max_outer=args.max_outer,
-                max_ist_iters=args.max_ist_iters,
-                w_initial=w0,
-            )
-        except (NumericError, LineSearchError, FloatingPointError) as exc:
-            # A failed solve is a non-converged row with its reason; the
-            # remaining solvers and instances still run.
-            records.append(BenchRecord(
-                solver=solver, family=family, m=p.m, n=p.n, seed=seed,
-                wall_time_s=time.perf_counter() - start, outer_iters=0,
-                inner_iters=0, nnz_fraction=0.0, final_gap=float("inf"),
-                converged=False, eta_initial=_resolved_eta(solver, p, args.eta1),
-                error=f"{type(exc).__name__}: {exc}",
-            ))
-        else:
-            records.append(
-                _record_from_report(report, solver, family, p.m, p.n, seed, eta))
-    return records
+    return [_run_and_record(solver, p, w0, args, family, seed) for solver in solvers]
 
-
-_CSV_FIELDS = [
-    "solver", "family", "m", "n", "seed", "wall_time_s", "outer_iters",
-    "inner_iters", "nnz_fraction", "final_gap", "converged", "eta_initial",
-    "error",
-]
 
 _MEDIAN_FIELDS = ["wall_time_s", "outer_iters", "inner_iters", "nnz_fraction",
                   "final_gap"]
+_AGGREGATE_FIELDS = ["solver", "family", "m", "n", "runs", "converged_runs"] + [
+    f"median_{f}" for f in _MEDIAN_FIELDS
+]
 
 
 def _csv_value(value):
@@ -331,13 +324,13 @@ def _csv_value(value):
     return str(value)
 
 
-def write_records_csv(path, records: list[BenchRecord]) -> None:
+def _write_csv(path, header: list[str], rows: list[dict]) -> None:
+    """Write ``rows`` (dicts keyed by ``header``) under ``header``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_FIELDS)
-        for rec in records:
-            row = asdict(rec)
-            writer.writerow([_csv_value(row[f]) for f in _CSV_FIELDS])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_csv_value(row[f]) for f in header])
 
 
 def aggregate_records(records: list[BenchRecord]) -> list[dict]:
@@ -364,19 +357,8 @@ def aggregate_records(records: list[BenchRecord]) -> list[dict]:
     return rows
 
 
-def write_aggregate_csv(path, rows: list[dict]) -> None:
-    fields = ["solver", "family", "m", "n", "runs", "converged_runs"] + [
-        f"median_{f}" for f in _MEDIAN_FIELDS
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_csv_value(row[f]) for f in fields])
-
-
 def _cmd_bench(args, parser) -> int:
-    sizes = _parse_sizes(args.sizes) if args.sizes else list(DEFAULT_SIZES[args.family])
+    sizes = _parse_ints(args.sizes) if args.sizes else list(DEFAULT_SIZES[args.family])
     if args.family == "largescale" and not args.allow_huge:
         over = [n for n in sizes if n > HUGE_N_CAP]
         if over:
@@ -384,7 +366,7 @@ def _cmd_bench(args, parser) -> int:
                 f"sizes {over} exceed the default n cap {HUGE_N_CAP}; "
                 f"pass --allow-huge to proceed"
             )
-    seeds = _parse_seeds(args.seeds)
+    seeds = _parse_ints(args.seeds)
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     unknown = [s for s in solvers if s not in SOLVER_IDS]
     if unknown:
@@ -412,12 +394,13 @@ def _cmd_bench(args, parser) -> int:
             per_instance = list(pool.map(run, instances))
     records = [rec for recs in per_instance for rec in recs]
     records.sort(key=lambda r: (r.solver, r.m, r.n, r.seed))
-    write_records_csv(args.out, records)
+    _write_csv(args.out, [f.name for f in fields(BenchRecord)],
+               [asdict(r) for r in records])
     agg_path = args.aggregate_out
     if agg_path is None:
         root, ext = os.path.splitext(args.out)
         agg_path = f"{root}_agg{ext or '.csv'}"
-    write_aggregate_csv(agg_path, aggregate_records(records))
+    _write_csv(agg_path, _AGGREGATE_FIELDS, aggregate_records(records))
     print(args.out)
     print(agg_path)
     done = sum(1 for r in records if r.converged)
@@ -437,7 +420,7 @@ def main(argv=None) -> int:
     except (DalpFormatError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericError, LineSearchError, FloatingPointError) as exc:
+    except _NUMERIC_ERRORS as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -62,7 +62,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .certificates import _certificate, relative_duality_gap
-from .prox import ProblemInstance, _primal_value, soft_threshold
+from .prox import ProblemInstance, _primal_value, _starting_point, soft_threshold
 
 INNER_VARIANTS = ("cholesky", "pcg")
 
@@ -97,43 +97,48 @@ class OpCounters:
 counters = OpCounters()
 
 
+# The inner solve's gradient-norm floor starts at _EPS_INITIAL_SCALE*sqrt(m)
+# and never falls below _EPS_FLOOR; eta never exceeds _ETA_CAP; one PCG solve
+# takes at most _PCG_MAX_ITERS iterations.
+_EPS_INITIAL_SCALE = 1e-4
+_EPS_FLOOR = 1e-12
+_ETA_CAP = 1e12
+_PCG_MAX_ITERS = 500
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Schedules, tolerances and caps for :func:`solve`.
 
     ``eta_initial=None`` resolves to ``1/lam`` at solve time; the best value
-    is problem dependent and worth tuning per family.  ``eps_initial_scale``
-    (times sqrt(m)), ``eps_shrink`` and ``eps_floor`` set the gradient-norm
-    floor eps_k of the inner solve, which also stops on primal progress (see
-    the module docstring).
+    is problem dependent and worth tuning per family.  eta grows by
+    ``eta_growth`` per outer iteration.  The inner solve stops on primal
+    progress (see the module docstring) or at the gradient-norm floor eps_k,
+    which starts at ``1e-4*sqrt(m)`` and shrinks by ``eps_shrink`` per outer
+    iteration; ``max_inner_newton`` caps its Newton steps, and ``ls_shrink``
+    and ``ls_sufficient_decrease`` set its backtracking line search.
     """
 
     eta_initial: float | None = None
     eta_growth: float = 2.0
-    eps_initial_scale: float = 1e-4
     eps_shrink: float = 0.5
     outer_tolerance: float = 1e-3
     max_outer: int = 100
     max_inner_newton: int = 100
     inner_variant: str = "cholesky"
-    pcg_max_iters: int = 500
     ls_shrink: float = 0.5
     ls_sufficient_decrease: float = 1e-4
-    eta_cap: float = 1e12
-    eps_floor: float = 1e-12
 
     def __post_init__(self):
         if self.eta_initial is not None and not self.eta_initial > 0:
             raise ValueError("eta_initial must be positive")
         if not self.eta_growth > 1:
             raise ValueError("eta_growth must exceed 1")
-        if not self.eps_initial_scale > 0:
-            raise ValueError("eps_initial_scale must be positive")
         if not 0 < self.eps_shrink < 1:
             raise ValueError("eps_shrink must lie in (0, 1)")
         if not self.outer_tolerance > 0:
             raise ValueError("outer_tolerance must be positive")
-        if self.max_outer < 1 or self.max_inner_newton < 1 or self.pcg_max_iters < 1:
+        if self.max_outer < 1 or self.max_inner_newton < 1:
             raise ValueError("iteration caps must be at least 1")
         if self.inner_variant not in INNER_VARIANTS:
             raise ValueError(f"inner_variant must be one of {INNER_VARIANTS}")
@@ -491,7 +496,7 @@ def inner_solve(
             direction = _newton_cholesky(ws, grad)
         else:
             forcing = min(0.1, math.sqrt(gnorm))
-            direction, used = _newton_pcg(ws, grad, forcing, config.pcg_max_iters)
+            direction, used = _newton_pcg(ws, grad, forcing, _PCG_MAX_ITERS)
             pcg_iters += used
         alpha, _, design_t_alpha = _line_search(
             ws, direction, grad, config.ls_shrink, config.ls_sufficient_decrease
@@ -546,15 +551,10 @@ def solve(
     """
     if config is None:
         config = SolverConfig()
-    if w_initial is None:
-        w = np.zeros(p.n)
-    else:
-        w = np.array(w_initial, dtype=float).ravel()
-        if w.shape[0] != p.n:
-            raise ValueError(f"w_initial has length {w.shape[0]}, expected {p.n}")
+    w = _starting_point(p, w_initial)
     eta = config.eta_initial if config.eta_initial is not None else 1.0 / p.lam
-    eta = min(eta, config.eta_cap)
-    eps = max(config.eps_initial_scale * math.sqrt(p.m), config.eps_floor)
+    eta = min(eta, _ETA_CAP)
+    eps = max(_EPS_INITIAL_SCALE * math.sqrt(p.m), _EPS_FLOOR)
     alpha = p.observations.copy()
     objective_trace: list[float] = []
     gap_trace: list[float] = []
@@ -592,10 +592,10 @@ def solve(
             if not (
                 objective_trace
                 and primal > objective_trace[-1]
-                and eps_inner > config.eps_floor
+                and eps_inner > _EPS_FLOOR
             ):
                 break
-            eps_inner = max(0.0625 * eps_inner, config.eps_floor)
+            eps_inner = max(0.0625 * eps_inner, _EPS_FLOOR)
             progress *= 0.0625
         w = w_new
         if not math.isfinite(primal):
@@ -611,8 +611,8 @@ def solve(
         gap_trace.append(gap)
         if converged:
             break
-        eta = min(eta * config.eta_growth, config.eta_cap)
-        eps = max(eps * config.eps_shrink, config.eps_floor)
+        eta = min(eta * config.eta_growth, _ETA_CAP)
+        eps = max(eps * config.eps_shrink, _EPS_FLOOR)
     wall = time.perf_counter() - start
     return SolveReport(
         w_final=w,

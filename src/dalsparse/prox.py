@@ -66,6 +66,16 @@ class ProblemInstance:
         return self.design.shape[1]
 
 
+def _starting_point(p: ProblemInstance, w_initial: np.ndarray | None) -> np.ndarray:
+    """A solver's own copy of ``w_initial`` as a flat float vector; zeros if None."""
+    if w_initial is None:
+        return np.zeros(p.n)
+    w = np.array(w_initial, dtype=float).ravel()
+    if w.shape[0] != p.n:
+        raise ValueError(f"w_initial has length {w.shape[0]}, expected {p.n}")
+    return w
+
+
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     """Componentwise shrink of ``v`` toward zero by ``t``, clipping to zero on [-t, t].
 

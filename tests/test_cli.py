@@ -1,6 +1,7 @@
 """Harness contract: subcommands, exit codes, record formats, determinism."""
 
 import csv
+import dataclasses
 import json
 import statistics
 import subprocess
@@ -356,6 +357,49 @@ class TestBenchFailedSolve:
             if key != (failing, 2):
                 assert row[idx["error"]] == ""
                 assert row[idx["converged"]] == "true"
+
+
+class TestFailedSolveRecord:
+    """``solve`` reports a raised solve the way ``bench`` does."""
+
+    def test_nonfinite_problem_prints_failed_record(self, tmp_path, capsys):
+        gen = probgen.generate(probgen.GenSpec(family="normal", m=8, seed=1))
+        design = gen.problem.design.copy()
+        design[0, 0] = np.nan
+        broken = probgen.GeneratedProblem(
+            problem=probgen.ProblemInstance(design=design,
+                                            observations=gen.problem.observations,
+                                            lam=gen.problem.lam),
+            true_coeffs=gen.true_coeffs, seed=None)
+        path = tmp_path / "nan.dalp"
+        save_problem(path, broken)
+        code, stdout, stderr = run_main(
+            ["solve", str(path), "--solver", "dal-chol"], capsys)
+        assert code == 4
+        assert "numeric error" in stderr
+        lines = stdout.strip().splitlines()
+        assert len(lines) == 1
+        rec = json.loads(lines[0])
+        assert rec["error"].startswith(("LineSearchError: ", "NumericError: ",
+                                        "FloatingPointError: "))
+        assert rec["converged"] is False
+        assert rec["eta_initial"] == pytest.approx(1 / gen.problem.lam)
+
+
+class TestRecordShape:
+    def test_csv_header_is_record_fields_and_json_keys(self, tmp_path, capsys):
+        problem = tmp_path / "p.dalp"
+        main(["gen", "--family", "normal", "--m", "16", "--seed", "1",
+              "--out", str(problem)])
+        capsys.readouterr()
+        _, stdout, _ = run_main(["solve", str(problem), "--solver", "dal-cg"], capsys)
+        keys = list(json.loads(stdout.strip().splitlines()[-1]))
+        out = tmp_path / "rows.csv"
+        run_main(["bench", "--family", "normal", "--sizes", "16", "--seeds", "1",
+                  "--solvers", "dal-cg", "--out", str(out)], capsys)
+        header = read_csv(out)[0]
+        assert header == [f.name for f in dataclasses.fields(cli.BenchRecord)]
+        assert header == keys
 
 
 class TestIstSpectralEstimate:
