@@ -29,6 +29,7 @@ from .dal import NumericError, SolveReport
 from .prox import ProblemInstance, _primal_value, _starting_point, soft_threshold
 
 STEP_RULES = ("constant", "bb")
+_POWER_ITERS = 100  # steps of the spectral-norm power iteration
 
 # Non-monotone acceptance of the BB step: a trial w+ is accepted when
 # F(w+) <= max(F over the last NONMONOTONE_MEMORY accepted iterates)
@@ -68,16 +69,16 @@ class IstConfig:
             raise ValueError("max_iters must be at least 1")
 
 
-def estimate_spectral_norm_sq(design: np.ndarray, n_iters: int = 100) -> float:
+def estimate_spectral_norm_sq(design: np.ndarray) -> float:
     """Power-iteration estimate of ||A||_2^2 (largest eigenvalue of A^T A).
 
-    Deterministic: starts from the all-ones direction.
+    Deterministic: ``_POWER_ITERS`` steps from the all-ones direction.
     """
     design = np.asarray(design, dtype=float)
     v = np.ones(design.shape[1])
     v /= np.linalg.norm(v)
     value = 0.0
-    for _ in range(n_iters):
+    for _ in range(_POWER_ITERS):
         u = design.T @ (design @ v)
         norm = float(np.linalg.norm(u))
         if norm == 0.0:
@@ -101,8 +102,8 @@ def bb_step(
     w_curr: np.ndarray,
     grad_prev: np.ndarray,
     grad_curr: np.ndarray,
-    tau_min: float = 1e-8,
-    tau_max: float = 1e8,
+    tau_min: float = IstConfig.tau_min,
+    tau_max: float = IstConfig.tau_max,
 ) -> float:
     """Barzilai-Borwein step s^T s / s^T y, clamped to [tau_min, tau_max].
 

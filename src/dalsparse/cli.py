@@ -14,10 +14,10 @@ error becomes a non-converged record whose ``error`` holds ``Type: message``:
 ``bench`` writes it as a row and goes on, ``solve`` prints it and exits 4.
 
 Exit codes: 0 success (non-convergence is data, not failure), 2 usage,
-3 data/format/IO, 4 internal numeric error.  ``--workers`` (capped by
-``DAL_NUM_THREADS``) runs instances in parallel; rows are sorted on a
-deterministic key so output is identical for any worker count, modulo the
-wall-time column.
+3 data/format/IO, 4 internal numeric error.  ``bench`` runs instances on a
+pool of ``--workers`` threads (capped by ``DAL_NUM_THREADS``); rows are
+sorted on a deterministic key so output is identical for any worker count,
+modulo the wall-time column.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import probgen
+from . import dal, probgen
 from .baselines import IstConfig, estimate_spectral_norm_sq, ist_solve
 from .dal import LineSearchError, NumericError, SolveReport, SolverConfig, solve
 from .probgen import DalpFormatError, GenSpec, LambdaRule
@@ -94,10 +94,10 @@ def _initial_w(mode: str, n: int) -> np.ndarray | None:
 
 
 def _resolved_eta(solver: str, problem, eta_initial: float | None) -> float | None:
-    """The initial barrier weight a solver runs with: 1/lam unless given; IST has none."""
+    """The initial barrier weight a DAL solve starts with; IST has none."""
     if solver not in ("dal-chol", "dal-cg"):
         return None
-    return eta_initial if eta_initial is not None else 1.0 / problem.lam
+    return dal._starting_eta(problem, eta_initial)
 
 
 def run_solver(
@@ -145,10 +145,11 @@ def _run_and_record(
     A numeric error becomes the failed record: the time until it raised,
     the eta the solver was given, and ``Type: message`` in ``error``.
     """
-    common = dict(solver=solver, family=family, m=problem.m, n=problem.n, seed=seed)
+    common = dict(solver=solver, family=family, m=problem.m, n=problem.n, seed=seed,
+                  eta_initial=_resolved_eta(solver, problem, args.eta1))
     start = time.perf_counter()
     try:
-        report, eta = run_solver(
+        report, _ = run_solver(
             solver,
             problem,
             tol=args.tol,
@@ -161,7 +162,6 @@ def _run_and_record(
         return BenchRecord(
             **common,
             wall_time_s=time.perf_counter() - start,
-            eta_initial=_resolved_eta(solver, problem, args.eta1),
             error=f"{type(exc).__name__}: {exc}",
         )
     return BenchRecord(
@@ -172,7 +172,6 @@ def _run_and_record(
         nnz_fraction=report.nnz_fraction,
         final_gap=report.relative_gap,
         converged=report.converged,
-        eta_initial=eta,
     )
 
 
@@ -278,7 +277,10 @@ def _cmd_gen(args, parser) -> int:
 def _cmd_solve(args) -> int:
     p = probgen.load_problem(args.problem).problem
     record = _run_and_record(args.solver, p, _initial_w(args.w_init, p.n), args)
-    print(json.dumps(asdict(record)))
+    # RFC 8259 JSON has no inf or nan: a failed solve's gap is written null.
+    values = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+              for k, v in asdict(record).items()}
+    print(json.dumps(values, allow_nan=False))
     if record.error is not None:
         print(f"numeric error: {record.error}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -368,6 +370,8 @@ def _cmd_bench(args, parser) -> int:
             )
     seeds = _parse_ints(args.seeds)
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    if not (sizes and seeds and solvers):
+        parser.error("--sizes, --seeds and --solvers must not be empty")
     unknown = [s for s in solvers if s not in SOLVER_IDS]
     if unknown:
         parser.error(f"unknown solvers {unknown}; choose from {SOLVER_IDS}")
@@ -382,17 +386,10 @@ def _cmd_bench(args, parser) -> int:
         workers = min(workers, int(env_cap))
     workers = max(1, workers)
 
-    instances = [(size, seed) for size in sizes for seed in seeds]
-
-    def run(instance):
-        return _bench_instance(args.family, *instance, solvers, args)
-
-    if workers == 1:
-        per_instance = map(run, instances)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_instance = list(pool.map(run, instances))
-    records = [rec for recs in per_instance for rec in recs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        runs = [pool.submit(_bench_instance, args.family, size, seed, solvers, args)
+                for size in sizes for seed in seeds]
+        records = [rec for run in runs for rec in run.result()]
     records.sort(key=lambda r: (r.solver, r.m, r.n, r.seed))
     _write_csv(args.out, [f.name for f in fields(BenchRecord)],
                [asdict(r) for r in records])

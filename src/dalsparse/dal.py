@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -83,9 +84,9 @@ class NumericError(RuntimeError):
 class OpCounters:
     """Diagnostic effort counters (column touches of the design matrix).
 
-    Each inner-gradient evaluation, Hessian assembly, and Hessian-vector
-    application adds exactly the current active-set size.  Reset before a
-    measurement; not synchronized across threads.
+    Each inner-gradient evaluation, Hessian assembly, PCG diagonal build and
+    Hessian-vector application adds exactly the current active-set size.
+    Reset before a measurement; not synchronized across threads.
     """
 
     active_column_accesses: int = 0
@@ -99,24 +100,25 @@ counters = OpCounters()
 
 # The inner solve's gradient-norm floor starts at _EPS_INITIAL_SCALE*sqrt(m)
 # and never falls below _EPS_FLOOR; eta never exceeds _ETA_CAP; one PCG solve
-# takes at most _PCG_MAX_ITERS iterations.
+# takes at most _PCG_MAX_ITERS iterations; a line search gives up below _MIN_STEP.
 _EPS_INITIAL_SCALE = 1e-4
 _EPS_FLOOR = 1e-12
 _ETA_CAP = 1e12
 _PCG_MAX_ITERS = 500
+_MIN_STEP = 1e-16
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Schedules, tolerances and caps for :func:`solve`.
+    """Schedules, tolerances and caps for :func:`solve`: seven fields.
 
-    ``eta_initial=None`` resolves to ``1/lam`` at solve time; the best value
-    is problem dependent and worth tuning per family.  eta grows by
-    ``eta_growth`` per outer iteration.  The inner solve stops on primal
-    progress (see the module docstring) or at the gradient-norm floor eps_k,
-    which starts at ``1e-4*sqrt(m)`` and shrinks by ``eps_shrink`` per outer
-    iteration; ``max_inner_newton`` caps its Newton steps, and ``ls_shrink``
-    and ``ls_sufficient_decrease`` set its backtracking line search.
+    ``eta_initial=None`` means ``1/lam``; either is capped at ``_ETA_CAP``
+    (:func:`_starting_eta`) and grows by ``eta_growth`` per outer iteration.
+    The inner solve stops on primal progress (see the module docstring) or
+    at the gradient-norm floor eps_k, which starts at ``1e-4*sqrt(m)`` and
+    shrinks by ``eps_shrink`` per outer iteration; ``max_inner_newton`` caps
+    its Newton steps.  The class constants ``ls_shrink`` and
+    ``ls_sufficient_decrease``, not fields, set its backtracking line search.
     """
 
     eta_initial: float | None = None
@@ -126,8 +128,8 @@ class SolverConfig:
     max_outer: int = 100
     max_inner_newton: int = 100
     inner_variant: str = "cholesky"
-    ls_shrink: float = 0.5
-    ls_sufficient_decrease: float = 1e-4
+    ls_shrink: ClassVar[float] = 0.5
+    ls_sufficient_decrease: ClassVar[float] = 1e-4
 
     def __post_init__(self):
         if self.eta_initial is not None and not self.eta_initial > 0:
@@ -142,10 +144,11 @@ class SolverConfig:
             raise ValueError("iteration caps must be at least 1")
         if self.inner_variant not in INNER_VARIANTS:
             raise ValueError(f"inner_variant must be one of {INNER_VARIANTS}")
-        if not 0 < self.ls_shrink < 1:
-            raise ValueError("ls_shrink must lie in (0, 1)")
-        if not self.ls_sufficient_decrease > 0:
-            raise ValueError("ls_sufficient_decrease must be positive")
+
+
+def _starting_eta(p: ProblemInstance, eta_initial: float | None) -> float:
+    """The eta a solve starts with: ``eta_initial``, else ``1/lam``, capped."""
+    return min(eta_initial if eta_initial is not None else 1.0 / p.lam, _ETA_CAP)
 
 
 @dataclass(frozen=True)
@@ -290,10 +293,8 @@ def inner_objective(
     p: ProblemInstance, w: np.ndarray, eta: float, alpha: np.ndarray
 ) -> float:
     """Inner objective 0.5*||alpha - b||^2 + (eta/2)*||ST_lam(A^T alpha + w/eta)||^2."""
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    q = p.design.T @ np.asarray(alpha, dtype=float) + np.asarray(w, dtype=float) / eta
-    return _objective_from_q(p, eta, np.asarray(alpha, dtype=float), q)
+    ws = inner_workspace(p, w, eta, alpha)
+    return _objective_from_q(p, eta, ws.alpha, ws.q)
 
 
 def _gradient(ws):
@@ -386,7 +387,7 @@ def newton_direction_pcg(
     return _newton_pcg(ws, np.asarray(grad, dtype=float), tol, max_iters)
 
 
-def _line_search(ws, direction, grad, shrink, sufficient_decrease, min_step=1e-16):
+def _line_search(ws, direction, grad, shrink, sufficient_decrease):
     """Armijo search from ws.alpha; returns the accepted alpha, step and A^T alpha."""
     p, eta, alpha = ws.p, ws.eta, ws.alpha
     g0 = _objective_from_q(p, eta, alpha, ws.q)
@@ -397,14 +398,14 @@ def _line_search(ws, direction, grad, shrink, sufficient_decrease, min_step=1e-1
     # One transposed product per search; each trial is then O(m + n).
     design_t_dir = p.design.T @ direction
     step = 1.0
-    while step >= min_step:
+    while step >= _MIN_STEP:
         alpha_trial = alpha + step * direction
         g_trial = _objective_from_q(p, eta, alpha_trial, ws.q + step * design_t_dir)
         if g_trial <= g0 + sufficient_decrease * step * slope:
             return alpha_trial, step, ws.design_t_alpha + step * design_t_dir
         step *= shrink
     raise LineSearchError(
-        f"step underflow below {min_step:g}; gradient/objective inconsistency"
+        f"step underflow below {_MIN_STEP:g}; gradient/objective inconsistency"
     )
 
 
@@ -414,9 +415,8 @@ def backtracking_line_search(
     eta: float,
     alpha: np.ndarray,
     direction: np.ndarray,
-    shrink: float = 0.5,
-    sufficient_decrease: float = 1e-4,
-    min_step: float = 1e-16,
+    shrink: float = SolverConfig.ls_shrink,
+    sufficient_decrease: float = SolverConfig.ls_sufficient_decrease,
 ) -> tuple[np.ndarray, float]:
     """Armijo backtracking from unit step along ``direction``.
 
@@ -427,7 +427,7 @@ def backtracking_line_search(
     ws = inner_workspace(p, w, eta, alpha)
     direction = np.asarray(direction, dtype=float)
     alpha, step, _ = _line_search(
-        ws, direction, _gradient(ws), shrink, sufficient_decrease, min_step
+        ws, direction, _gradient(ws), shrink, sufficient_decrease
     )
     return alpha, step
 
@@ -552,8 +552,7 @@ def solve(
     if config is None:
         config = SolverConfig()
     w = _starting_point(p, w_initial)
-    eta = config.eta_initial if config.eta_initial is not None else 1.0 / p.lam
-    eta = min(eta, _ETA_CAP)
+    eta = _starting_eta(p, config.eta_initial)
     eps = max(_EPS_INITIAL_SCALE * math.sqrt(p.m), _EPS_FLOOR)
     alpha = p.observations.copy()
     objective_trace: list[float] = []

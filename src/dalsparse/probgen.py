@@ -239,13 +239,14 @@ def load_problem(path) -> GeneratedProblem:
             raise DalpFormatError(
                 f"file length {size} does not match header (expected {expected})"
             )
-        if not lam > 0:
-            raise DalpFormatError(f"non-positive lambda {lam}")
         # Read as the n x m row-major transpose: its .T is the column-major design.
         design = np.fromfile(fh, dtype="<f8", count=m * n).reshape((n, m)).T
         observations = np.fromfile(fh, dtype="<f8", count=m)
         coeffs = np.fromfile(fh, dtype="<f8", count=n)
-    problem = ProblemInstance(design=design, observations=observations, lam=lam)
+    try:
+        problem = ProblemInstance(design=design, observations=observations, lam=lam)
+    except ValueError as exc:
+        raise DalpFormatError(f"invalid header m={m} n={n} lambda={lam}: {exc}") from exc
     return GeneratedProblem(problem=problem, true_coeffs=coeffs, seed=None)
 
 

@@ -31,10 +31,10 @@ FEASIBILITY_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A single l2-l1 reconstruction problem: design matrix, observations, weight.
+    """One l2-l1 problem: an m x n design, m observations and a weight lam.
 
-    The design matrix is kept dense and converted to column-major (Fortran)
-    layout so that gathering active columns is contiguous.
+    Requires m, n >= 1 and a finite lam > 0.  The design is kept dense and
+    column-major (Fortran) so that gathering active columns is contiguous.
     """
 
     design: np.ndarray
@@ -54,8 +54,8 @@ class ProblemInstance:
                 f"observations length {observations.shape[0]} does not match "
                 f"design row count {design.shape[0]}"
             )
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
 
     @property
     def m(self) -> int:

@@ -70,6 +70,22 @@ class TestGen:
                   "--out", str(tmp_path / "x.dalp")])
         assert exc.value.code == 2
 
+    def test_largescale_missing_n_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--family", "largescale", "--seed", "1",
+                  "--out", str(tmp_path / "x.dalp")])
+        assert exc.value.code == 2
+
+    def test_csv_export(self, tmp_path, capsys):
+        out, csv_out = tmp_path / "p.dalp", tmp_path / "p.csv"
+        code, _, _ = run_main(
+            ["gen", "--family", "normal", "--m", "4", "--seed", "2",
+             "--out", str(out), "--csv", str(csv_out)], capsys)
+        assert code == 0
+        rows = read_csv(csv_out)
+        assert rows[1] == ["meta", "4", "16", repr(0.025)]
+        assert len(rows) == 2 + 4 * 16 + 4 + 16
+
     def test_unwritable_path_is_data_error(self, capsys):
         code, _, stderr = run_main(
             ["gen", "--family", "normal", "--m", "8",
@@ -148,6 +164,27 @@ class TestSolve:
             ["solve", str(bad), "--solver", "dal-chol"], capsys)
         assert code == 3
         assert "error" in stderr
+
+    @pytest.mark.parametrize("m, n, lam", [(0, 8, 0.025), (4, 0, 0.025),
+                                           (4, 8, float("inf"))])
+    @pytest.mark.parametrize("solver", ["dal-chol", "ist-bb"])
+    def test_invalid_header_exit_3(self, tmp_path, capsys, m, n, lam, solver):
+        path = tmp_path / "p.dalp"
+        path.write_bytes(b"DALP" + (1).to_bytes(4, "little") + m.to_bytes(8, "little")
+                         + n.to_bytes(8, "little") + np.float64(lam).tobytes()
+                         + bytes(8 * (m * n + m + n)))
+        code, stdout, stderr = run_main(["solve", str(path), "--solver", solver], capsys)
+        assert code == 3
+        assert stdout == ""
+        assert "invalid header" in stderr
+
+    def test_eta_record_is_the_capped_start(self, problem_file, capsys):
+        # dal.solve never starts eta above 1e12; the record says what it ran.
+        code, stdout, _ = run_main(
+            ["solve", str(problem_file), "--solver", "dal-chol", "--eta1", "1e13"],
+            capsys)
+        assert code == 0
+        assert json.loads(stdout.strip().splitlines()[-1])["eta_initial"] == 1e12
 
     def test_non_convergence_still_exit_0(self, problem_file, capsys):
         code, stdout, _ = run_main(
@@ -249,6 +286,32 @@ class TestBench:
             main(["bench", "--family", "normal", "--sizes", "16",
                   "--solvers", "magic", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--seeds", "5..3"), ("--sizes", ","),
+                                             ("--solvers", ",")])
+    def test_empty_selection_usage_error(self, tmp_path, flag, value):
+        out = tmp_path / "x.csv"
+        argv = ["bench", "--family", "normal", "--sizes", "16", "--seeds", "1",
+                "--solvers", "dal-cg", "--out", str(out)]
+        argv[argv.index(flag) + 1] = value
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_largescale_sizes_are_n(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        code, _, _ = run_main(
+            ["bench", "--family", "largescale", "--sizes", "2048", "--seeds", "1",
+             "--solvers", "dal-cg", "--out", str(out)], capsys)
+        assert code == 0
+        rows = read_csv(out)
+        idx = {name: i for i, name in enumerate(rows[0])}
+        assert len(rows) == 2
+        assert (rows[1][idx["m"]], rows[1][idx["n"]]) == ("1024", "2048")
+        assert rows[1][idx["converged"]] == "true"
+        agg = read_csv(tmp_path / "rows_agg.csv")
+        assert [r[2:4] for r in agg[1:]] == [["1024", "2048"]]
 
     def test_huge_sizes_need_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -384,6 +447,27 @@ class TestFailedSolveRecord:
                                         "FloatingPointError: "))
         assert rec["converged"] is False
         assert rec["eta_initial"] == pytest.approx(1 / gen.problem.lam)
+
+    def test_failed_record_is_strict_json(self, tmp_path, capsys):
+        gen = probgen.generate(probgen.GenSpec(family="normal", m=8, seed=1))
+        design = gen.problem.design.copy()
+        design[0, 0] = np.nan
+        broken = probgen.GeneratedProblem(
+            problem=probgen.ProblemInstance(design=design,
+                                            observations=gen.problem.observations,
+                                            lam=gen.problem.lam),
+            true_coeffs=gen.true_coeffs, seed=None)
+        path = tmp_path / "nan.dalp"
+        save_problem(path, broken)
+        code, stdout, _ = run_main(["solve", str(path), "--solver", "dal-cg"], capsys)
+        assert code == 4
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        rec = json.loads(stdout.strip(), parse_constant=reject)
+        assert rec["final_gap"] is None
+        assert rec["error"] is not None
 
 
 class TestRecordShape:

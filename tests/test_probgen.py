@@ -237,6 +237,17 @@ class TestProblemFiles:
         with pytest.raises(DalpFormatError, match="lambda"):
             load_problem(path)
 
+    @pytest.mark.parametrize("m, n, lam", [(0, 8, 0.025), (4, 0, 0.025),
+                                           (4, 8, float("inf"))])
+    def test_header_of_invalid_problem_rejected(self, tmp_path, m, n, lam):
+        # Length-consistent containers whose header no problem can have.
+        path = tmp_path / "p.dalp"
+        path.write_bytes(b"DALP" + (1).to_bytes(4, "little") + m.to_bytes(8, "little")
+                         + n.to_bytes(8, "little") + np.float64(lam).tobytes()
+                         + bytes(8 * (m * n + m + n)))
+        with pytest.raises(DalpFormatError, match="invalid header"):
+            load_problem(path)
+
     def test_csv_export_round_trips_values(self, tmp_path):
         import csv
 

@@ -25,6 +25,11 @@ class TestProblemInstance:
         with pytest.raises(ValueError):
             ProblemInstance(design=[[1.0]], observations=[1.0], lam=-0.5)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_rejects_nonfinite_lambda(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            ProblemInstance(design=[[1.0]], observations=[1.0], lam=lam)
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ProblemInstance(design=np.ones((3, 2)), observations=np.ones(2), lam=1.0)
