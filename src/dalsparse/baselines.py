@@ -138,10 +138,12 @@ def ist_solve(
     ``inner_newton_iters`` and ``pcg_iters_total`` stay zero.
 
     ``lipschitz`` (= :func:`estimate_spectral_norm_sq` of the design) may be
-    supplied to reuse an estimate a caller already made.
+    supplied to reuse an estimate a caller already made.  ``wall_time_seconds``
+    includes the estimate when the solve makes it itself.
     """
     if config is None:
         config = IstConfig()
+    start = time.perf_counter()
     w = _starting_point(p, w_initial)
     if lipschitz is None:
         lipschitz = estimate_spectral_norm_sq(p.design)
@@ -156,7 +158,6 @@ def ist_solve(
         tau = 1.0 / lipschitz if lipschitz > 0.0 else 1.0
         tau = min(max(tau, config.tau_min), config.tau_max)
 
-    start = time.perf_counter()
     residual = p.design @ w - p.observations
     grad = p.design.T @ residual
     primal = _primal_value(p, w, residual)

@@ -24,12 +24,18 @@ inner gradient and Hessian, so per-iteration cost tracks the sparsity of the
 current solution.
 
 Two inner strategies are provided: a dense Cholesky factorization of the
-m x m Newton system, and a diagonally preconditioned conjugate gradient
-(truncated Newton) that only applies the Hessian matrix-free.  Both, and the
-gradient, reach the active columns A+ only through :class:`InnerWorkspace`,
-the active-set operator (``matvec``, ``rmatvec``, ``gram``, ``diag``).  It is
-the one place that knows whether A+ was gathered into a copy or is applied
-masked against the full design, and the one place that counts column touches.
+Newton system, and a diagonally preconditioned conjugate gradient (truncated
+Newton) that only applies the Hessian matrix-free.  With k active columns the
+Newton system (I + eta*A+ A+^T) y = -g is m x m; when k < m the Cholesky
+variant factors the smaller k x k matrix S = I + eta*A+^T A+ instead and
+returns y = -g + eta*A+ S^{-1} A+^T g (Sherman-Morrison-Woodbury), so its
+factorization cost follows the sparsity of the solution too.  Either matrix
+is factored by numpy's LAPACK and solved by two triangular solves.  Both
+strategies, and the gradient, reach the active columns A+ only through
+:class:`InnerWorkspace`, the active-set operator (``matvec``, ``rmatvec``,
+``gram``, ``smaller_gram``, ``diag``).  It is the one place that knows
+whether A+ was gathered into a copy or is applied masked against the full
+design, and the one place that counts column touches.
 
 Products with the whole design matrix dominate the cost of wide problems, so
 ``A^T alpha`` is carried through the loop instead of recomputed.  Each line
@@ -60,7 +66,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import solve_triangular
 
 from .certificates import _certificate, relative_duality_gap
 from .prox import ProblemInstance, _primal_value, _starting_point, soft_threshold
@@ -204,8 +210,9 @@ class InnerWorkspace:
     the design, gathered into ``active_cols``.  ``active_cols`` is None when
     the active set covers so much of the matrix that copying it would
     outweigh masked full-matrix products; the operator then runs matrix-free
-    against the stored design.  ``matvec``, ``gram`` and ``diag`` each add
-    the active-set size to :data:`counters`; ``rmatvec`` adds nothing.
+    against the stored design.  ``matvec``, ``gram``, ``smaller_gram`` and
+    ``diag`` each add the active-set size to :data:`counters`; ``rmatvec``
+    adds nothing.
     """
 
     p: ProblemInstance
@@ -234,6 +241,22 @@ class InnerWorkspace:
     def gram(self) -> np.ndarray:
         """A+ A+^T, the m x m Gram matrix of the active columns."""
         return self._block_sum(lambda cols: cols @ cols.T)
+
+    def smaller_gram(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The smaller of the two Gram matrices of A+, with the columns it needs.
+
+        With k active columns, k >= m gives (A+ A+^T, None) as :meth:`gram`
+        does; k < m gives (A+^T A+, A+ as a dense m x k array), gathering
+        masked columns for it (k*m < m^2 elements).  Adds k to
+        :data:`counters` either way.
+        """
+        if self.active.size >= self.p.m:
+            return self.gram(), None
+        counters.active_column_accesses += int(self.active.size)
+        cols = self.active_cols
+        if cols is None:
+            cols = self.p.design[:, self.active]
+        return cols.T @ cols, cols
 
     def diag(self) -> np.ndarray:
         """diag(A+ A+^T): row sums of the squared active columns."""
@@ -311,21 +334,41 @@ def inner_gradient(
     return _gradient(inner_workspace(p, w, eta, alpha))
 
 
+def cho_factor(hess: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``hess`` from numpy's LAPACK.
+
+    Not scipy's: scipy links an OpenBLAS of its own, whose worker thread
+    keeps spinning after a threaded factorization and slows the numpy
+    products that follow.  Raises :class:`NumericError` when ``hess`` is not
+    positive definite.
+    """
+    try:
+        return np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Cholesky factorization failed: {exc}") from exc
+
+
+def cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = rhs for the lower factor L by two triangular solves."""
+    half = solve_triangular(factor, rhs, lower=True, check_finite=False)
+    return solve_triangular(factor, half, lower=True, trans="T", check_finite=False)
+
+
 def _newton_cholesky(ws, grad):
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient passed to Newton solve")
     if ws.active.size == 0:
         return -grad
-    hess = ws.gram()
+    hess, cols = ws.smaller_gram()
     hess *= ws.eta
     hess[np.diag_indices_from(hess)] += 1.0
     if not np.all(np.isfinite(hess)):
         raise NumericError("non-finite Hessian assembled")
-    try:
-        factor = cho_factor(hess, lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError as exc:
-        raise NumericError(f"Cholesky factorization failed: {exc}") from exc
-    return cho_solve(factor, -grad, check_finite=False)
+    factor = cho_factor(hess)
+    if cols is None:
+        return cho_solve(factor, -grad)
+    # Woodbury: (I + eta*A+ A+^T)^{-1} = I - eta*A+ (I + eta*A+^T A+)^{-1} A+^T.
+    return ws.eta * (cols @ cho_solve(factor, cols.T @ grad)) - grad
 
 
 def newton_direction_cholesky(
@@ -335,7 +378,13 @@ def newton_direction_cholesky(
     alpha: np.ndarray,
     grad: np.ndarray,
 ) -> np.ndarray:
-    """Solve (I + eta*A+ A+^T) y = -grad by dense Cholesky factorization."""
+    """Solve (I + eta*A+ A+^T) y = -grad by dense Cholesky factorization.
+
+    With k active columns and k < m the factored matrix is the k x k
+    I + eta*A+^T A+, and y = -grad + eta*A+ (I + eta*A+^T A+)^{-1} A+^T grad
+    (Sherman-Morrison-Woodbury); otherwise it is the m x m Hessian itself.
+    Either way the workspace adds k to :data:`counters`.
+    """
     ws = inner_workspace(p, w, eta, alpha)
     return _newton_cholesky(ws, np.asarray(grad, dtype=float))
 

@@ -1,5 +1,7 @@
 """Shrinkage baseline: steps, spectral step sizes, full loop."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from dalsparse import (
     solve,
     soft_threshold,
 )
+from dalsparse import baselines
 from dalsparse.baselines import NONMONOTONE_MEMORY
 from oracles import cd_lasso
 
@@ -118,6 +121,19 @@ class TestIstSolve:
             report = ist_solve(p, cfg)
             assert report.converged
             assert abs(report.primal_value - dal.primal_value) <= 1e-4 * dal.primal_value
+
+    def test_wall_time_includes_own_spectral_estimate(self, monkeypatch):
+        rng = np.random.default_rng(39)
+        p = gaussian_problem(rng, m=16, n=64)
+        estimate = baselines.estimate_spectral_norm_sq
+
+        def slow_estimate(design):
+            time.sleep(0.05)
+            return estimate(design)
+
+        monkeypatch.setattr(baselines, "estimate_spectral_norm_sq", slow_estimate)
+        report = ist_solve(p, IstConfig(step_rule="bb"))
+        assert report.wall_time_seconds >= 0.05
 
     def test_constant_step_descends_monotonically(self):
         # in the majorization regime tau <= 1/L every step is a descent step

@@ -511,3 +511,68 @@ class TestActiveSetOperator:
             counters.reset()
             call()
             assert counters.active_column_accesses == touches
+
+
+def problem_with_active_set(m, n, k, eta, seed):
+    """A problem, w and alpha whose workspace has exactly the first k columns
+    active, with |q_j| = lam + 1 there and q_j = 0 elsewhere."""
+    rng = np.random.default_rng(seed)
+    p = random_problem(rng, m=m, n=n, lam=0.1)
+    alpha = rng.standard_normal(m)
+    target = np.zeros(n)
+    target[:k] = (p.lam + 1.0) * rng.choice([-1.0, 1.0], size=k)
+    w = eta * (target - p.design.T @ alpha)
+    return p, w, alpha
+
+
+class TestNewtonSystemForm:
+    """The Cholesky direction factors the smaller of I + eta*A+ A+^T (m x m)
+    and I + eta*A+^T A+ (k x k) and solves the m x m system either way."""
+
+    # (m, n, k, gathered): n < 4k puts a k < m workspace on the masked path
+    CASES = [
+        (20, 200, 8, True),
+        (20, 200, 20, True),
+        (20, 200, 40, True),
+        (40, 100, 30, False),
+        (40, 100, 40, False),
+        (40, 100, 60, False),
+    ]
+
+    @pytest.mark.parametrize("eta", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("m, n, k, gathered", CASES)
+    def test_factors_smaller_form_and_solves_full_system(
+        self, m, n, k, gathered, eta, monkeypatch
+    ):
+        p, w, alpha = problem_with_active_set(m, n, k, eta, seed=m + n + k)
+        ws = inner_workspace(p, w, eta, alpha)
+        assert ws.active.size == k
+        assert (ws.active_cols is not None) == gathered
+        shapes = []
+        factor = dal.cho_factor
+
+        def recording_factor(hess):
+            shapes.append(hess.shape)
+            return factor(hess)
+
+        monkeypatch.setattr(dal, "cho_factor", recording_factor)
+        grad = inner_gradient(p, w, eta, alpha)
+        counters.reset()
+        y = newton_direction_cholesky(p, w, eta, alpha, grad)
+        assert shapes == [(min(k, m), min(k, m))]
+        assert counters.active_column_accesses == k
+        hess = explicit_hessian(p, w, eta, alpha)
+        resid = np.linalg.norm(hess @ y + grad)
+        assert resid <= 1e-10 * (1 + np.linalg.norm(grad))
+
+
+class TestCholeskyFactor:
+    def test_is_numpy_cholesky(self):
+        rng = np.random.default_rng(63)
+        a = rng.standard_normal((6, 6))
+        h = np.eye(6) + a @ a.T
+        np.testing.assert_array_equal(dal.cho_factor(h), np.linalg.cholesky(h))
+
+    def test_indefinite_raises_numeric_error(self):
+        with pytest.raises(NumericError, match="Cholesky factorization failed"):
+            dal.cho_factor(np.diag([1.0, -1.0]))
