@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import relative_duality_gap
-from .dal import NumericError, SolveReport
+from .dal import NumericError, SolveReport, SolverConfig
 from .prox import ProblemInstance, _primal_value, _starting_point, soft_threshold
 
 STEP_RULES = ("constant", "bb")
@@ -45,14 +45,16 @@ class IstConfig:
     ``tau`` is required for the constant rule and validated against the
     spectral bound at solve setup; the BB rule ignores it, clamps its
     spectral estimates to [tau_min, tau_max] and halves a step that fails the
-    non-monotone acceptance test, never below tau_min.
+    non-monotone acceptance test, never below tau_min.  ``tolerance``
+    defaults to DAL's ``SolverConfig.outer_tolerance``: both families stop at
+    the same relative duality gap.
     """
 
     step_rule: str = "bb"
     tau: float | None = None
     tau_min: float = 1e-8
     tau_max: float = 1e8
-    tolerance: float = 1e-3
+    tolerance: float = SolverConfig.outer_tolerance
     max_iters: int = 50000
 
     def __post_init__(self):

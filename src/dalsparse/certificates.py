@@ -42,12 +42,7 @@ class DualCertificate:
     relative_gap: float
 
 
-def feasible_dual_point(
-    p: ProblemInstance,
-    w: np.ndarray,
-    residual: np.ndarray | None = None,
-    design_t_residual: np.ndarray | None = None,
-) -> np.ndarray:
+def feasible_dual_point(p: ProblemInstance, w: np.ndarray) -> np.ndarray:
     """Construct a dual-feasible point from the residual at ``w``.
 
     Returns ``s * (b - A w)`` with ``s = min(1, lam / ||A^T (A w - b)||_inf)``,
@@ -55,23 +50,8 @@ def feasible_dual_point(
     residual correlation exceeds ``lam`` (the generic case away from
     over-regularization) the bound holds with equality.  A zero-correlation
     residual is already feasible and is returned unscaled.
-
-    ``residual`` (= ``A w - b``) and ``design_t_residual`` (= ``A^T residual``)
-    may be supplied to reuse matrix-vector products computed by a solver loop.
     """
-    return dual_certificate(p, w, residual, design_t_residual).alpha_hat
-
-
-def _into_feasible(
-    p: ProblemInstance, candidate: np.ndarray, design_t_candidate: np.ndarray
-) -> np.ndarray:
-    """``candidate * min(1, lam / ||A^T candidate||_inf)``, given ``A^T
-    candidate`` (its sign does not matter); a zero product leaves the
-    candidate unscaled."""
-    corr = float(np.abs(design_t_candidate).max())
-    if corr == 0.0:
-        return candidate
-    return min(1.0, p.lam / corr) * candidate
+    return dual_certificate(p, w).alpha_hat
 
 
 def _certificate(
@@ -80,9 +60,12 @@ def _certificate(
     candidate: np.ndarray,
     design_t_candidate: np.ndarray,
 ) -> DualCertificate:
-    """Certificate of a primal value ``primal`` by ``candidate`` scaled into the
-    feasible set; O(m + n), no product with the design."""
-    alpha_hat = _into_feasible(p, candidate, design_t_candidate)
+    """Certificate of a primal value ``primal`` by ``candidate * min(1, lam /
+    ||A^T candidate||_inf)``, given ``A^T candidate`` (its sign does not
+    matter; a zero product leaves the candidate unscaled); O(m + n), no
+    product with the design."""
+    corr = float(np.abs(design_t_candidate).max())
+    alpha_hat = candidate if corr == 0.0 else min(1.0, p.lam / corr) * candidate
     dual = _dual_value(p, alpha_hat)
     gap = max(0.0, (primal - dual) / max(primal, GAP_DENOMINATOR_FLOOR))
     return DualCertificate(
@@ -101,8 +84,9 @@ def dual_certificate(
     The dual value is taken from the scaled residual directly: its feasibility
     follows from the known ``A^T alpha_hat = -s * A^T residual``, so no product
     re-checks it (:func:`dalsparse.prox.dual_objective` does, for outside
-    callers).  ``residual`` and ``design_t_residual`` may be supplied as in
-    :func:`feasible_dual_point`; with both, the certificate makes no product.
+    callers).  ``residual`` (= ``A w - b``) and ``design_t_residual`` (= ``A^T
+    residual``) may be supplied to reuse matrix-vector products computed by a
+    solver loop; with both, the certificate makes no product.
     """
     w = np.asarray(w, dtype=float).ravel()
     if residual is None:

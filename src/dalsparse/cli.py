@@ -13,6 +13,13 @@ fields are the JSON keys and the CSV columns.  A solve that raises a numeric
 error becomes a non-converged record whose ``error`` holds ``Type: message``:
 ``bench`` writes it as a row and goes on, ``solve`` prints it and exits 4.
 
+``solve`` and ``bench`` share four solver flags, declared once: ``--tol``
+and ``--max-outer`` default to :class:`~dalsparse.dal.SolverConfig`'s
+``outer_tolerance`` and ``max_outer``, ``--max-ist-iters`` to
+:class:`~dalsparse.baselines.IstConfig`'s ``max_iters``, and ``--eta1`` to
+none (DAL then starts at ``1/lam``).  ``gen --seed`` and ``--density``
+default to :class:`~dalsparse.probgen.GenSpec`'s fields.
+
 Exit codes: 0 success (non-convergence is data, not failure), 2 usage,
 3 data/format/IO, 4 internal numeric error.  ``bench`` runs instances on a
 pool of ``--workers`` threads (capped by ``DAL_NUM_THREADS``); rows are
@@ -40,7 +47,9 @@ from .baselines import IstConfig, estimate_spectral_norm_sq, ist_solve
 from .dal import LineSearchError, NumericError, SolveReport, SolverConfig, solve
 from .probgen import DalpFormatError, GenSpec, LambdaRule
 
-SOLVER_IDS = ("dal-chol", "dal-cg", "ist", "ist-bb")
+# Each DAL solver id and the SolverConfig.inner_variant it runs.
+_DAL_VARIANTS = {"dal-chol": "cholesky", "dal-cg": "pcg"}
+SOLVER_IDS = (*_DAL_VARIANTS, "ist", "ist-bb")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -95,7 +104,7 @@ def _initial_w(mode: str, n: int) -> np.ndarray | None:
 
 def _resolved_eta(solver: str, problem, eta_initial: float | None) -> float | None:
     """The initial barrier weight a DAL solve starts with; IST has none."""
-    if solver not in ("dal-chol", "dal-cg"):
+    if solver not in _DAL_VARIANTS:
         return None
     return dal._starting_eta(problem, eta_initial)
 
@@ -105,19 +114,18 @@ def run_solver(
     problem,
     tol: float,
     eta_initial: float | None = None,
-    max_outer: int = 100,
-    max_ist_iters: int = 50000,
+    max_outer: int = SolverConfig.max_outer,
+    max_ist_iters: int = IstConfig.max_iters,
     w_initial: np.ndarray | None = None,
 ) -> tuple[SolveReport, float | None]:
     """Dispatch one of the four solver ids; returns (report, eta actually used)."""
     eta = _resolved_eta(solver, problem, eta_initial)
-    if solver == "dal-chol" or solver == "dal-cg":
-        variant = "cholesky" if solver == "dal-chol" else "pcg"
+    if solver in _DAL_VARIANTS:
         config = SolverConfig(
             eta_initial=eta,
             outer_tolerance=tol,
             max_outer=max_outer,
-            inner_variant=variant,
+            inner_variant=_DAL_VARIANTS[solver],
         )
         return solve(problem, config, w_initial), eta
     if solver == "ist":
@@ -190,12 +198,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The solver flags of ``solve`` and ``bench``, declared once.
+    solver_flags = argparse.ArgumentParser(add_help=False)
+    solver_flags.add_argument("--tol", type=float, default=SolverConfig.outer_tolerance)
+    solver_flags.add_argument("--eta1", type=float, default=None)
+    solver_flags.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
+    solver_flags.add_argument("--max-ist-iters", type=int, default=IstConfig.max_iters)
+
     gen = sub.add_parser("gen", help="generate a problem file")
     gen.add_argument("--family", required=True, choices=probgen.FAMILIES)
     gen.add_argument("--m", type=int)
     gen.add_argument("--n", type=int)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--density", type=float, default=0.04)
+    gen.add_argument("--seed", type=int, default=GenSpec.seed)
+    gen.add_argument("--density", type=float, default=GenSpec.density)
     gen.add_argument("--noise-variance", type=float, default=None)
     gen.add_argument("--lam", type=float, default=None,
                      help="fixed regularization weight (overrides the family rule)")
@@ -203,17 +218,14 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--csv", default=None,
                      help="also export a CSV copy (small instances only)")
 
-    slv = sub.add_parser("solve", help="solve a problem file")
+    slv = sub.add_parser("solve", parents=[solver_flags], help="solve a problem file")
     slv.add_argument("problem", help="path to a .dalp problem file")
     slv.add_argument("--solver", required=True, choices=SOLVER_IDS)
-    slv.add_argument("--tol", type=float, default=1e-3)
-    slv.add_argument("--eta1", type=float, default=None)
-    slv.add_argument("--max-outer", type=int, default=100)
-    slv.add_argument("--max-ist-iters", type=int, default=50000)
     slv.add_argument("--w-init", default="zero", help="zero | random:SEED")
 
     bench = sub.add_parser(
         "bench",
+        parents=[solver_flags],
         help="run solvers on every size/seed instance",
         description="Generate each (size, seed) instance once and run every "
                     "requested solver on it.  Writes one CSV row per solve; a "
@@ -226,11 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "n for largescale")
     bench.add_argument("--seeds", default="1..10", help="e.g. 1..10 or 3,5,9")
     bench.add_argument("--solvers", default=",".join(SOLVER_IDS))
-    bench.add_argument("--tol", type=float, default=1e-3)
-    bench.add_argument("--eta1", type=float, default=None)
-    bench.add_argument("--max-outer", type=int, default=100)
-    bench.add_argument("--max-ist-iters", type=int, default=50000)
-    bench.add_argument("--w-init", default="zero", help="zero | random (seed-derived)")
+    bench.add_argument("--w-init", default="zero", choices=("zero", "random"),
+                       help="zero | random (seed-derived)")
     bench.add_argument("--out", required=True, help="per-run CSV path")
     bench.add_argument("--aggregate-out", default=None,
                        help="median CSV path (default: <out>_agg.csv)")
@@ -375,8 +384,6 @@ def _cmd_bench(args, parser) -> int:
     unknown = [s for s in solvers if s not in SOLVER_IDS]
     if unknown:
         parser.error(f"unknown solvers {unknown}; choose from {SOLVER_IDS}")
-    if args.w_init not in ("zero", "random"):
-        parser.error("--w-init must be 'zero' or 'random' for bench")
 
     env_cap = os.environ.get("DAL_NUM_THREADS")
     workers = args.workers

@@ -61,6 +61,7 @@ dense iterate's ``A w`` and descent retries add to it.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass
 from typing import ClassVar
@@ -86,13 +87,13 @@ class NumericError(RuntimeError):
     """Non-finite values encountered during a solve."""
 
 
-@dataclass
-class OpCounters:
-    """Diagnostic effort counters (column touches of the design matrix).
+class OpCounters(threading.local):
+    """Diagnostic effort counters (column touches of the design matrix), per thread.
 
     Each inner-gradient evaluation, Hessian assembly, PCG diagonal build and
-    Hessian-vector application adds exactly the current active-set size.
-    Reset before a measurement; not synchronized across threads.
+    Hessian-vector application adds exactly the current active-set size to
+    the count of the thread that made it, so solves on parallel threads do
+    not cross-count.  Reset before a measurement, in the thread that runs it.
     """
 
     active_column_accesses: int = 0
@@ -613,10 +614,11 @@ def solve(
     start = time.perf_counter()
     design_t_alpha = p.design.T @ alpha
     for k in range(1, config.max_outer + 1):
-        eps_inner, progress = eps, 1.0
+        retry = 1.0
         while True:
+            eps_inner = max(retry * eps, _EPS_FLOOR)
             alpha, n_newton, n_pcg = inner_solve(
-                p, w, eta, eps_inner, alpha, config, design_t_alpha, progress
+                p, w, eta, eps_inner, alpha, config, design_t_alpha, retry
             )
             newton_total += n_newton
             pcg_total += n_pcg
@@ -625,26 +627,25 @@ def solve(
             design_t_alpha = p.design.T @ alpha
             # Cap hits count the first-pass solve against its own stop rule,
             # not the descent retries below that refine it.
-            if eps_inner == eps and n_newton >= config.max_inner_newton:
+            if retry == 1.0 and n_newton >= config.max_inner_newton:
                 ws = inner_workspace(p, w, eta, alpha, design_t_alpha)
                 gnorm = float(np.linalg.norm(_gradient(ws)))
-                if not _inner_done(ws, w, gnorm, eps, progress):
+                if not _inner_done(ws, w, gnorm, eps, retry):
                     cap_hits += 1
             w_new = outer_update(w, alpha, eta, p, design_t_alpha)
             residual = _residual(p, w_new)
             primal = _primal_value(p, w_new, residual)
             # An approximate inner solve can leak a tiny objective increase;
             # the exact update never does, so refine (warm-started, both stop
-            # thresholds tightened) until the descent contract is restored or
-            # the eps floor is hit.
+            # thresholds scaled by one retry factor) until the descent
+            # contract is restored or the eps floor is hit.
             if not (
                 objective_trace
                 and primal > objective_trace[-1]
                 and eps_inner > _EPS_FLOOR
             ):
                 break
-            eps_inner = max(0.0625 * eps_inner, _EPS_FLOOR)
-            progress *= 0.0625
+            retry *= 0.0625
         w = w_new
         if not math.isfinite(primal):
             raise NumericError(f"primal objective became non-finite at outer step {k}")

@@ -123,7 +123,7 @@ def dual_objective(p: ProblemInstance, alpha: np.ndarray) -> float:
     alpha = np.asarray(alpha, dtype=float).ravel()
     if alpha.shape[0] != p.m:
         raise ValueError(f"alpha has length {alpha.shape[0]}, expected {p.m}")
-    corr = np.abs(p.design.T @ alpha).max() if p.n > 0 else 0.0
+    corr = np.abs(p.design.T @ alpha).max()
     if corr > p.lam * (1.0 + FEASIBILITY_RTOL):
         raise DualInfeasibleError(
             f"||A^T alpha||_inf = {corr:.6g} exceeds lam = {p.lam:.6g}"

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import statistics
 import subprocess
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 from dalsparse import (
+    GenSpec,
     IstConfig,
+    SolverConfig,
     baselines,
     cli,
     ist_solve,
@@ -510,6 +513,79 @@ class TestIstSpectralEstimate:
         own = ist_solve(p, config)
         np.testing.assert_array_equal(report.w_final, own.w_final)
         assert report.gap_trace == own.gap_trace
+
+
+
+class TestHugeGuard:
+    """``bench --family largescale`` refuses n above ``HUGE_N_CAP`` before
+    generating anything, unless ``--allow-huge`` is given."""
+
+    ARGV = ["bench", "--family", "largescale", "--sizes", "262144", "--seeds", "1",
+            "--solvers", "dal-cg"]
+
+    @pytest.fixture()
+    def asked_n(self, monkeypatch):
+        """Record the n each ``generate`` call asks for; build a small instance."""
+        asked = []
+        real_generate = probgen.generate
+
+        def generate(spec):
+            asked.append(spec.n)
+            return real_generate(GenSpec(family="normal", m=16, seed=spec.seed))
+
+        monkeypatch.setattr(probgen, "generate", generate)
+        return asked
+
+    def test_refused_without_flag(self, tmp_path, asked_n):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGV + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert asked_n == []
+        assert not out.exists()
+
+    def test_flag_reaches_generate(self, tmp_path, capsys, asked_n):
+        out = tmp_path / "x.csv"
+        code, _, _ = run_main(self.ARGV + ["--out", str(out), "--allow-huge"], capsys)
+        assert code == 0
+        assert asked_n == [262144]
+        assert len(read_csv(out)) == 2
+
+
+class TestBenchWInit:
+    def test_seeded_random_is_usage_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--family", "normal", "--sizes", "16", "--seeds", "1",
+                  "--solvers", "dal-cg", "--w-init", "random:3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
+class TestDefaultsFollowOwners:
+    """The CLI's defaults are read from the config classes, not restated."""
+
+    def test_solver_flags_read_config_classes(self, monkeypatch):
+        monkeypatch.setattr(SolverConfig, "outer_tolerance", 2.5e-4)
+        monkeypatch.setattr(SolverConfig, "max_outer", 7)
+        monkeypatch.setattr(IstConfig, "max_iters", 123)
+        parser = cli._build_parser()
+        for argv in (["solve", "p.dalp", "--solver", "dal-cg"],
+                     ["bench", "--family", "normal", "--out", "x.csv"]):
+            args = parser.parse_args(argv)
+            assert (args.tol, args.eta1, args.max_outer, args.max_ist_iters) == (
+                2.5e-4, None, 7, 123)
+
+    def test_gen_flags_read_gen_spec(self, monkeypatch):
+        monkeypatch.setattr(GenSpec, "seed", 11)
+        monkeypatch.setattr(GenSpec, "density", 0.125)
+        args = cli._build_parser().parse_args(["gen", "--family", "normal", "--m", "8"])
+        assert (args.seed, args.density) == (11, 0.125)
+
+    def test_run_solver_defaults_are_config_defaults(self):
+        params = inspect.signature(cli.run_solver).parameters
+        assert params["max_outer"].default == SolverConfig().max_outer
+        assert params["max_ist_iters"].default == IstConfig().max_iters
 
 
 class TestConsoleEntry:

@@ -1,5 +1,7 @@
 """Inner minimization machinery: objective, gradient, Hessian, line search."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,42 @@ class TestInnerGradient:
         # one diagonal build plus one Hessian application per CG iteration
         assert counters.active_column_accesses == k * (1 + iters)
 
+
+
+class TestCountersPerThread:
+    def test_idle_thread_reads_zero(self):
+        """A thread that resets the counter and does no work reads 0 after
+        another thread has counted active columns."""
+        rng = np.random.default_rng(6)
+        p = random_problem(rng, m=12, n=200, lam=0.2)
+        w = np.zeros(200)
+        alpha = rng.standard_normal(12) * 0.5
+        k = int(np.sum(np.abs(p.design.T @ alpha) > p.lam))
+        assert k > 0
+        reset_done, work_done = threading.Event(), threading.Event()
+        seen = {}
+
+        def idle():
+            counters.reset()
+            reset_done.set()
+            work_done.wait(10)
+            seen["idle"] = counters.active_column_accesses
+
+        def busy():
+            reset_done.wait(10)
+            counters.reset()
+            inner_gradient(p, w, 1.0, alpha)
+            seen["busy"] = counters.active_column_accesses
+            work_done.set()
+
+        counters.reset()
+        threads = [threading.Thread(target=f) for f in (idle, busy)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert seen == {"idle": 0, "busy": k}
+        assert counters.active_column_accesses == 0
 
 class TestNewtonDirections:
     def test_empty_active_set_gives_negative_gradient(self):
