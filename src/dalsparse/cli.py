@@ -9,9 +9,11 @@ Three subcommands:
   median aggregate CSV.
 
 Every run becomes a :class:`BenchRecord` in :func:`_run_and_record`; its
-fields are the JSON keys and the CSV columns.  A solve that raises a numeric
-error becomes a non-converged record whose ``error`` holds ``Type: message``:
-``bench`` writes it as a row and goes on, ``solve`` prints it and exits 4.
+fields are the JSON keys and the CSV columns, and its ``wall_time_s`` is the
+time of the whole :func:`run_solver` call.  Only :func:`_run_and_record`
+records a numeric error: the solve becomes a non-converged record whose
+``error`` holds ``Type: message``; ``bench`` writes it as a row and goes on,
+``solve`` prints it and exits 4.
 
 ``solve`` and ``bench`` share four solver flags, declared once: ``--tol``
 and ``--max-outer`` default to :class:`~dalsparse.dal.SolverConfig`'s
@@ -150,11 +152,10 @@ def _run_and_record(
 ) -> BenchRecord:
     """Run ``solver`` through :func:`run_solver` with the command's flags.
 
-    A numeric error becomes the failed record: the time until it raised,
-    the eta the solver was given, and ``Type: message`` in ``error``.
+    ``wall_time_s`` is the time of the whole :func:`run_solver` call, set-up
+    included, or the time until it raised.  A numeric error becomes the
+    failed record, with ``Type: message`` in ``error``.
     """
-    common = dict(solver=solver, family=family, m=problem.m, n=problem.n, seed=seed,
-                  eta_initial=_resolved_eta(solver, problem, args.eta1))
     start = time.perf_counter()
     try:
         report, _ = run_solver(
@@ -166,21 +167,19 @@ def _run_and_record(
             max_ist_iters=args.max_ist_iters,
             w_initial=w_initial,
         )
-    except _NUMERIC_ERRORS as exc:
-        return BenchRecord(
-            **common,
-            wall_time_s=time.perf_counter() - start,
-            error=f"{type(exc).__name__}: {exc}",
+        outcome = dict(
+            outer_iters=report.outer_iters,
+            inner_iters=report.inner_newton_iters,
+            nnz_fraction=report.nnz_fraction,
+            final_gap=report.relative_gap,
+            converged=report.converged,
         )
-    return BenchRecord(
-        **common,
-        wall_time_s=report.wall_time_seconds,
-        outer_iters=report.outer_iters,
-        inner_iters=report.inner_newton_iters,
-        nnz_fraction=report.nnz_fraction,
-        final_gap=report.relative_gap,
-        converged=report.converged,
-    )
+    except _NUMERIC_ERRORS as exc:
+        outcome = dict(error=f"{type(exc).__name__}: {exc}")
+    return BenchRecord(solver=solver, family=family, m=problem.m, n=problem.n,
+                       seed=seed, wall_time_s=time.perf_counter() - start,
+                       eta_initial=_resolved_eta(solver, problem, args.eta1),
+                       **outcome)
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -251,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _gen_spec_from_args(args, seed: int) -> GenSpec:
+def _gen_spec_from_args(args) -> GenSpec:
     rule = LambdaRule("fixed", args.lam) if args.lam is not None else None
     return GenSpec(
         family=args.family,
@@ -260,7 +259,7 @@ def _gen_spec_from_args(args, seed: int) -> GenSpec:
         density=args.density,
         noise_variance=args.noise_variance,
         lambda_rule=rule,
-        seed=seed,
+        seed=args.seed,
     )
 
 
@@ -269,7 +268,7 @@ def _cmd_gen(args, parser) -> int:
         parser.error(f"--m is required for family {args.family!r}")
     if args.family == "largescale" and args.n is None:
         parser.error("--n is required for family 'largescale'")
-    generated = probgen.generate(_gen_spec_from_args(args, args.seed))
+    generated = probgen.generate(_gen_spec_from_args(args))
     p = generated.problem
     out = args.out
     if out is None:
@@ -310,11 +309,9 @@ def _bench_instance(family, size, seed, solvers, args) -> list[BenchRecord]:
     else:
         spec = GenSpec(family=family, m=size, seed=seed)
     p = probgen.generate(spec).problem
-    if args.w_init == "random":
-        # Derive the initial-vector stream from the problem seed.
-        w0 = _initial_w(f"random:{seed + 0x5EED}", p.n)
-    else:
-        w0 = _initial_w(args.w_init, p.n)
+    # A random initial vector's stream is derived from the problem seed.
+    mode = f"random:{seed + 0x5EED}" if args.w_init == "random" else args.w_init
+    w0 = _initial_w(mode, p.n)
     return [_run_and_record(solver, p, w0, args, family, seed) for solver in solvers]
 
 
@@ -369,7 +366,8 @@ def aggregate_records(records: list[BenchRecord]) -> list[dict]:
 
 
 def _cmd_bench(args, parser) -> int:
-    sizes = _parse_ints(args.sizes) if args.sizes else list(DEFAULT_SIZES[args.family])
+    sizes = (list(DEFAULT_SIZES[args.family]) if args.sizes is None
+             else _parse_ints(args.sizes))
     if args.family == "largescale" and not args.allow_huge:
         over = [n for n in sizes if n > HUGE_N_CAP]
         if over:
@@ -384,6 +382,15 @@ def _cmd_bench(args, parser) -> int:
     unknown = [s for s in solvers if s not in SOLVER_IDS]
     if unknown:
         parser.error(f"unknown solvers {unknown}; choose from {SOLVER_IDS}")
+    # Reject bad solver flags before any instance is generated or solved.
+    try:
+        if any(s in _DAL_VARIANTS for s in solvers):
+            SolverConfig(eta_initial=args.eta1, outer_tolerance=args.tol,
+                         max_outer=args.max_outer)
+        if any(s not in _DAL_VARIANTS for s in solvers):
+            IstConfig(tolerance=args.tol, max_iters=args.max_ist_iters)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     env_cap = os.environ.get("DAL_NUM_THREADS")
     workers = args.workers
@@ -424,9 +431,6 @@ def main(argv=None) -> int:
     except (DalpFormatError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -168,6 +168,7 @@ class SolveReport:
     which is still a sound upper bound.  ``relative_gap`` of a converged
     solve is always the residual gap.  ``inner_cap_hits`` counts inner solves
     that reached ``max_inner_newton`` without meeting their stop rule.
+    ``wall_time_seconds`` runs from the solver's entry to its return.
     """
 
     w_final: np.ndarray
@@ -601,6 +602,7 @@ def solve(
     """
     if config is None:
         config = SolverConfig()
+    start = time.perf_counter()
     w = _starting_point(p, w_initial)
     eta = _starting_eta(p, config.eta_initial)
     eps = max(_EPS_INITIAL_SCALE * math.sqrt(p.m), _EPS_FLOOR)
@@ -611,7 +613,6 @@ def solve(
     converged = False
     primal = math.inf
     gap = math.inf
-    start = time.perf_counter()
     design_t_alpha = p.design.T @ alpha
     for k in range(1, config.max_outer + 1):
         retry = 1.0

@@ -562,6 +562,97 @@ class TestBenchWInit:
         assert not out.exists()
 
 
+class TestBenchSelectionChecks:
+    """``bench`` rejects a bad selection or solver flag before generating."""
+
+    ARGV = ["bench", "--family", "normal", "--sizes", "16", "--seeds", "1..3",
+            "--solvers", "dal-cg,ist-bb"]
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Count ``generate`` and ``run_solver`` calls."""
+        counted = {"generate": 0, "run_solver": 0}
+        real_generate, real_run_solver = probgen.generate, cli.run_solver
+
+        def generate(spec):
+            counted["generate"] += 1
+            return real_generate(spec)
+
+        def run_solver(*args, **kwargs):
+            counted["run_solver"] += 1
+            return real_run_solver(*args, **kwargs)
+
+        monkeypatch.setattr(probgen, "generate", generate)
+        monkeypatch.setattr(cli, "run_solver", run_solver)
+        return counted
+
+    def test_empty_sizes_is_not_the_default_grid(self, tmp_path, calls):
+        out = tmp_path / "x.csv"
+        argv = list(self.ARGV)
+        argv[argv.index("--sizes") + 1] = ""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert calls == {"generate": 0, "run_solver": 0}
+
+    @pytest.mark.parametrize("flag, value", [("--max-ist-iters", "0"),
+                                             ("--tol", "0"), ("--eta1", "-1"),
+                                             ("--max-outer", "0")])
+    def test_bad_solver_flag_rejected_first(self, tmp_path, calls, flag, value):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGV + [flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert calls == {"generate": 0, "run_solver": 0}
+
+    @pytest.mark.parametrize("solver, flag", [("ist-bb", "--max-outer"),
+                                              ("dal-cg", "--max-ist-iters")])
+    def test_other_family_flag_not_checked(self, tmp_path, capsys, calls, solver,
+                                           flag):
+        argv = list(self.ARGV)
+        argv[argv.index("--solvers") + 1] = solver
+        out = tmp_path / "x.csv"
+        code, _, _ = run_main(argv + [flag, "0", "--out", str(out)], capsys)
+        assert code == 0
+        assert calls == {"generate": 3, "run_solver": 3}
+        assert len(read_csv(out)) == 4
+
+
+class TestRecordClock:
+    """A record's ``wall_time_s`` covers the whole ``run_solver`` call,
+    including constant-step ``ist``'s spectral-norm estimate."""
+
+    @pytest.fixture()
+    def slow_estimate(self, monkeypatch):
+        estimate = baselines.estimate_spectral_norm_sq
+
+        def slow(design, *args, **kwargs):
+            time.sleep(0.05)
+            return estimate(design, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_spectral_norm_sq", slow)
+
+    def test_solve_record_includes_estimate(self, tmp_path, capsys, slow_estimate):
+        problem = tmp_path / "p.dalp"
+        main(["gen", "--family", "normal", "--m", "16", "--seed", "1",
+              "--out", str(problem)])
+        capsys.readouterr()
+        code, stdout, _ = run_main(["solve", str(problem), "--solver", "ist"], capsys)
+        assert code == 0
+        assert json.loads(stdout)["wall_time_s"] >= 0.05
+
+    def test_bench_record_includes_estimate(self, tmp_path, capsys, slow_estimate):
+        out = tmp_path / "rows.csv"
+        code, _, _ = run_main(
+            ["bench", "--family", "normal", "--sizes", "16", "--seeds", "1",
+             "--solvers", "ist", "--out", str(out)], capsys)
+        assert code == 0
+        rows = read_csv(out)
+        assert float(rows[1][rows[0].index("wall_time_s")]) >= 0.05
+
+
 class TestDefaultsFollowOwners:
     """The CLI's defaults are read from the config classes, not restated."""
 

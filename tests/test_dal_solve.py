@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from dalsparse import (
+    GenSpec,
     NumericError,
     ProblemInstance,
     SolverConfig,
+    dal,
+    generate,
     outer_update,
     primal_objective,
     project_linf,
@@ -164,6 +167,26 @@ class TestSolve:
                            eta_initial=1e6)
         report = solve(p, cfg)
         assert report.inner_cap_hits > 0
+
+    def test_cap_hits_exclude_solves_that_stop_at_the_cap(self, monkeypatch):
+        # A first-pass inner solve (progress factor 1.0) that uses all its
+        # Newton steps is a cap hit only if it then misses its stop rule; on
+        # this instance some meet it exactly at their last allowed step.
+        p = generate(GenSpec(family="normal", m=64, seed=3)).problem
+        real_inner_solve = dal.inner_solve
+        full_first_passes = 0
+
+        def inner_solve(*args):
+            nonlocal full_first_passes
+            result = real_inner_solve(*args)
+            if args[-1] == 1.0 and result[1] == 2:
+                full_first_passes += 1
+            return result
+
+        monkeypatch.setattr(dal, "inner_solve", inner_solve)
+        report = solve(p, SolverConfig(max_inner_newton=2))
+        assert report.converged
+        assert 0 < report.inner_cap_hits < full_first_passes
 
     def test_wrong_initial_length_rejected(self):
         p = ProblemInstance(design=np.eye(2), observations=[1.0, 2.0], lam=0.5)
