@@ -26,6 +26,7 @@ import numpy as np
 
 from .certificates import relative_duality_gap
 from .dal import NumericError, SolveReport, SolverConfig
+from .probgen import _rng
 from .prox import ProblemInstance, _primal_value, _starting_point, soft_threshold
 
 STEP_RULES = ("constant", "bb")
@@ -74,17 +75,23 @@ class IstConfig:
 def estimate_spectral_norm_sq(design: np.ndarray) -> float:
     """Power-iteration estimate of ||A||_2^2 (largest eigenvalue of A^T A).
 
-    Deterministic: ``_POWER_ITERS`` steps from the all-ones direction.
+    Deterministic: ``_POWER_ITERS`` steps from the all-ones direction.  When
+    the first step gives zero (A 1 = 0, so that direction lies in A's null
+    space), the iteration goes on from a fixed Philox-drawn direction, whose
+    step gives zero only when A = 0; a zero step returns 0.0.
     """
     design = np.asarray(design, dtype=float)
     v = np.ones(design.shape[1])
     v /= np.linalg.norm(v)
     value = 0.0
-    for _ in range(_POWER_ITERS):
+    for step in range(_POWER_ITERS):
         u = design.T @ (design @ v)
         norm = float(np.linalg.norm(u))
         if norm == 0.0:
-            return 0.0
+            if step > 0:
+                return 0.0
+            u = _rng(0).standard_normal(design.shape[1])
+            norm = float(np.linalg.norm(u))
         value = norm
         v = u / norm
     return value

@@ -23,10 +23,15 @@ none (DAL then starts at ``1/lam``).  ``gen --seed`` and ``--density``
 default to :class:`~dalsparse.probgen.GenSpec`'s fields.
 
 Exit codes: 0 success (non-convergence is data, not failure), 2 usage,
-3 data/format/IO, 4 internal numeric error.  ``bench`` runs instances on a
-pool of ``--workers`` threads (capped by ``DAL_NUM_THREADS``); rows are
-sorted on a deterministic key so output is identical for any worker count,
-modulo the wall-time column.
+3 data/format/IO, 4 internal numeric error.  :func:`main` is the one
+usage-error path: each input is checked by the class that owns its rule
+(``SolverConfig``, ``IstConfig``, ``GenSpec`` and ``resolve_spec``) before
+anything is loaded, generated or solved, and a ``ValueError`` becomes
+argparse's usage error.  ``bench`` runs instances on a pool of ``--workers``
+threads (capped by ``DAL_NUM_THREADS``) and cancels the queued ones when an
+instance raises an error it does not record, or on Ctrl-C; rows are sorted
+on a deterministic key so output is identical for any worker count, modulo
+the wall-time column.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ _DAL_VARIANTS = {"dal-chol": "cholesky", "dal-cg": "pcg"}
 SOLVER_IDS = (*_DAL_VARIANTS, "ist", "ist-bb")
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
@@ -94,14 +98,9 @@ class BenchRecord:
     error: str | None = None
 
 
-def _initial_w(mode: str, n: int) -> np.ndarray | None:
-    if mode == "zero":
-        return None
-    if mode.startswith("random:"):
-        seed = int(mode.split(":", 1)[1])
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        return rng.standard_normal(n)
-    raise ValueError(f"w-init must be 'zero' or 'random:SEED', got {mode!r}")
+def _initial_w(seed: int | None, n: int) -> np.ndarray | None:
+    """A standard normal start drawn from ``seed``'s stream; None (zero) without one."""
+    return None if seed is None else probgen._rng(seed).standard_normal(n)
 
 
 def _resolved_eta(solver: str, problem, eta_initial: float | None) -> float | None:
@@ -263,11 +262,7 @@ def _gen_spec_from_args(args) -> GenSpec:
     )
 
 
-def _cmd_gen(args, parser) -> int:
-    if args.family in ("normal", "poor") and args.m is None:
-        parser.error(f"--m is required for family {args.family!r}")
-    if args.family == "largescale" and args.n is None:
-        parser.error("--n is required for family 'largescale'")
+def _cmd_gen(args) -> int:
     generated = probgen.generate(_gen_spec_from_args(args))
     p = generated.problem
     out = args.out
@@ -282,9 +277,24 @@ def _cmd_gen(args, parser) -> int:
     return EXIT_OK
 
 
+def _check_solver_flags(args, solvers: list[str]) -> None:
+    """Build the configs ``solvers`` will run with, so a bad flag raises now."""
+    if any(s in _DAL_VARIANTS for s in solvers):
+        SolverConfig(eta_initial=args.eta1, outer_tolerance=args.tol,
+                     max_outer=args.max_outer)
+    if any(s not in _DAL_VARIANTS for s in solvers):
+        IstConfig(tolerance=args.tol, max_iters=args.max_ist_iters)
+
+
 def _cmd_solve(args) -> int:
+    _check_solver_flags(args, [args.solver])
+    kind, _, seed = args.w_init.partition(":")
+    if args.w_init != "zero" and (kind != "random" or int(seed) < 0):
+        raise ValueError(f"w-init must be 'zero' or 'random:SEED' with SEED >= 0, "
+                         f"got {args.w_init!r}")
+    w_seed = int(seed) if kind == "random" else None
     p = probgen.load_problem(args.problem).problem
-    record = _run_and_record(args.solver, p, _initial_w(args.w_init, p.n), args)
+    record = _run_and_record(args.solver, p, _initial_w(w_seed, p.n), args)
     # RFC 8259 JSON has no inf or nan: a failed solve's gap is written null.
     values = {k: None if isinstance(v, float) and not math.isfinite(v) else v
               for k, v in asdict(record).items()}
@@ -302,17 +312,13 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _bench_instance(family, size, seed, solvers, args) -> list[BenchRecord]:
-    """Generate one (size, seed) instance and run every solver on it, in order."""
-    if family == "largescale":
-        spec = GenSpec(family=family, n=size, seed=seed)
-    else:
-        spec = GenSpec(family=family, m=size, seed=seed)
+def _bench_instance(spec: GenSpec, solvers, args) -> list[BenchRecord]:
+    """Generate one instance and run every solver on it, in order."""
     p = probgen.generate(spec).problem
     # A random initial vector's stream is derived from the problem seed.
-    mode = f"random:{seed + 0x5EED}" if args.w_init == "random" else args.w_init
-    w0 = _initial_w(mode, p.n)
-    return [_run_and_record(solver, p, w0, args, family, seed) for solver in solvers]
+    w0 = _initial_w(spec.seed + 0x5EED if args.w_init == "random" else None, p.n)
+    return [_run_and_record(solver, p, w0, args, spec.family, spec.seed)
+            for solver in solvers]
 
 
 _MEDIAN_FIELDS = ["wall_time_s", "outer_iters", "inner_iters", "nnz_fraction",
@@ -365,32 +371,26 @@ def aggregate_records(records: list[BenchRecord]) -> list[dict]:
     return rows
 
 
-def _cmd_bench(args, parser) -> int:
+def _cmd_bench(args) -> int:
     sizes = (list(DEFAULT_SIZES[args.family]) if args.sizes is None
              else _parse_ints(args.sizes))
     if args.family == "largescale" and not args.allow_huge:
         over = [n for n in sizes if n > HUGE_N_CAP]
         if over:
-            parser.error(
-                f"sizes {over} exceed the default n cap {HUGE_N_CAP}; "
-                f"pass --allow-huge to proceed"
-            )
+            raise ValueError(f"sizes {over} exceed the default n cap {HUGE_N_CAP}; "
+                             f"pass --allow-huge to proceed")
     seeds = _parse_ints(args.seeds)
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     if not (sizes and seeds and solvers):
-        parser.error("--sizes, --seeds and --solvers must not be empty")
+        raise ValueError("--sizes, --seeds and --solvers must not be empty")
     unknown = [s for s in solvers if s not in SOLVER_IDS]
     if unknown:
-        parser.error(f"unknown solvers {unknown}; choose from {SOLVER_IDS}")
-    # Reject bad solver flags before any instance is generated or solved.
-    try:
-        if any(s in _DAL_VARIANTS for s in solvers):
-            SolverConfig(eta_initial=args.eta1, outer_tolerance=args.tol,
-                         max_outer=args.max_outer)
-        if any(s not in _DAL_VARIANTS for s in solvers):
-            IstConfig(tolerance=args.tol, max_iters=args.max_ist_iters)
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError(f"unknown solvers {unknown}; choose from {SOLVER_IDS}")
+    _check_solver_flags(args, solvers)
+    size_field = "n" if args.family == "largescale" else "m"
+    specs = [probgen.resolve_spec(GenSpec(family=args.family, seed=seed,
+                                          **{size_field: size}))
+             for size in sizes for seed in seeds]
 
     env_cap = os.environ.get("DAL_NUM_THREADS")
     workers = args.workers
@@ -401,9 +401,13 @@ def _cmd_bench(args, parser) -> int:
     workers = max(1, workers)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        runs = [pool.submit(_bench_instance, args.family, size, seed, solvers, args)
-                for size in sizes for seed in seeds]
-        records = [rec for run in runs for rec in run.result()]
+        runs = [pool.submit(_bench_instance, spec, solvers, args) for spec in specs]
+        try:
+            records = [rec for run in runs for rec in run.result()]
+        except BaseException:
+            # Leaving the block would otherwise run every queued instance first.
+            pool.shutdown(cancel_futures=True)
+            raise
     records.sort(key=lambda r: (r.solver, r.m, r.n, r.seed))
     _write_csv(args.out, [f.name for f in fields(BenchRecord)],
                [asdict(r) for r in records])
@@ -424,16 +428,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "gen":
-            return _cmd_gen(args, parser)
+            return _cmd_gen(args)
         if args.command == "solve":
             return _cmd_solve(args)
-        return _cmd_bench(args, parser)
+        return _cmd_bench(args)
     except (DalpFormatError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        parser.error(str(exc))
 
 
 def entry() -> None:  # console-script wrapper

@@ -90,6 +90,8 @@ class GenSpec:
             raise ValueError("density must lie in (0, 1]")
         if self.noise_variance is not None and self.noise_variance < 0:
             raise ValueError("noise_variance must be nonnegative")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 _FAMILY_DEFAULTS = {

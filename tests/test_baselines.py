@@ -40,6 +40,14 @@ class TestSpectralNormEstimate:
         exact = np.linalg.svd(A, compute_uv=False)[0] ** 2
         assert estimate_spectral_norm_sq(A) == pytest.approx(exact, rel=1e-6)
 
+    def test_restarts_when_ones_lie_in_null_space(self):
+        A = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 2.0, -2.0]])
+        assert not (A @ np.ones(4)).any()
+        assert estimate_spectral_norm_sq(A) == pytest.approx(8.0, rel=1e-6)
+
+    def test_zero_design_gives_zero(self):
+        assert estimate_spectral_norm_sq(np.zeros((2, 4))) == 0.0
+
 
 class TestIstStep:
     def test_identity_design_unit_step_solves(self):

@@ -79,6 +79,15 @@ class TestGen:
                   "--out", str(tmp_path / "x.dalp")])
         assert exc.value.code == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.dalp"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--family", "normal", "--m", "8", "--seed", "-1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "dalbench: error: seed must lie in" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_export(self, tmp_path, capsys):
         out, csv_out = tmp_path / "p.dalp", tmp_path / "p.csv"
         code, _, _ = run_main(
@@ -425,6 +434,33 @@ class TestBenchFailedSolve:
                 assert row[idx["converged"]] == "true"
 
 
+class TestSolveChecksFirst:
+    """``solve`` rejects a bad flag before it loads the problem file."""
+
+    @pytest.mark.parametrize("flags", [["--tol", "0"], ["--max-outer", "0"],
+                                       ["--w-init", "bogus"],
+                                       ["--w-init", "random:-1"]])
+    def test_bad_flag_rejected_before_load(self, tmp_path, capsys, monkeypatch,
+                                           flags):
+        path = tmp_path / "p.dalp"
+        save_problem(path, probgen.generate(GenSpec(family="normal", m=8, seed=1)))
+        loads = []
+        real_load = probgen.load_problem
+
+        def load_problem(p):
+            loads.append(p)
+            return real_load(p)
+
+        monkeypatch.setattr(probgen, "load_problem", load_problem)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(path), "--solver", "dal-chol"] + flags)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "dalbench: error:" in captured.err
+        assert captured.out == ""
+        assert loads == []
+
+
 class TestFailedSolveRecord:
     """``solve`` reports a raised solve the way ``bench`` does."""
 
@@ -513,6 +549,14 @@ class TestIstSpectralEstimate:
         own = ist_solve(p, config)
         np.testing.assert_array_equal(report.w_final, own.w_final)
         assert report.gap_trace == own.gap_trace
+
+    def test_ones_in_null_space_still_converges(self):
+        # A 1 = 0: a power iteration from the all-ones direction reads 0.
+        design = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 2.0, -2.0]])
+        p = probgen.ProblemInstance(design=design, observations=np.array([1.0, 2.0]),
+                                    lam=0.1)
+        report, _ = cli.run_solver("ist", p, 1e-6)
+        assert report.converged
 
 
 
@@ -618,6 +662,49 @@ class TestBenchSelectionChecks:
         assert code == 0
         assert calls == {"generate": 3, "run_solver": 3}
         assert len(read_csv(out)) == 4
+
+    @pytest.mark.parametrize("family, sizes, seeds", [("poor", "32,4096", "1..3"),
+                                                      ("normal", "0,16", "1..3"),
+                                                      ("normal", "16", "1,-1")])
+    def test_bad_instance_rejected_first(self, tmp_path, capsys, calls, family,
+                                         sizes, seeds):
+        argv = list(self.ARGV)
+        argv[argv.index("--family") + 1] = family
+        argv[argv.index("--sizes") + 1] = sizes
+        argv[argv.index("--seeds") + 1] = seeds
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "dalbench: error:" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == {"generate": 0, "run_solver": 0}
+
+
+class TestBenchStopsOnError:
+    """An error ``bench`` does not record cancels the queued instances."""
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_queued_instances_cancelled(self, tmp_path, monkeypatch, error):
+        generated = []
+        real_generate = probgen.generate
+
+        def generate(spec):
+            generated.append(spec.seed)
+            return real_generate(spec)
+
+        def run_solver(*args, **kwargs):
+            time.sleep(0.1)  # long enough for the main thread to see the error
+            raise error("stop")
+
+        monkeypatch.setattr(probgen, "generate", generate)
+        monkeypatch.setattr(cli, "run_solver", run_solver)
+        out = tmp_path / "x.csv"
+        with pytest.raises(error):
+            main(["bench", "--family", "normal", "--sizes", "16", "--seeds", "1..8",
+                  "--solvers", "dal-cg", "--workers", "1", "--out", str(out)])
+        assert 1 <= len(generated) <= 2
+        assert not out.exists()
 
 
 class TestRecordClock:

@@ -152,6 +152,19 @@ class TestGenerate:
         assert np.mean(jaccard) >= 0.5
 
 
+class TestGenSpecSeed:
+    """A seed is a 64-bit Philox key: it lies in [0, 2**64)."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            GenSpec(family="normal", m=4, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_bounds_accepted(self, seed):
+        assert generate(GenSpec(family="normal", m=4, seed=seed)).seed == seed
+
+
 class TestProblemFiles:
     def test_round_trip_bitwise(self, tmp_path):
         gen = generate(GenSpec(family="normal", m=16, seed=16))
