@@ -17,7 +17,8 @@ needed to check it.  The certificate at ``w`` therefore costs two products
 from ``w`` alone, one when the residual ``A w - b`` is supplied, and none when
 ``A^T (A w - b)`` is supplied too.  The DAL solver applies the same scaling
 to its multiplier ``alpha``, whose ``A^T alpha`` it already holds, to get a
-second sound certificate for free (see :func:`dalsparse.dal.solve`).
+second sound certificate for free, and to ``b`` to start that multiplier
+inside the feasible set (see :func:`dalsparse.dal.solve`).
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ def feasible_dual_point(p: ProblemInstance, w: np.ndarray) -> np.ndarray:
     return dual_certificate(p, w).alpha_hat
 
 
+def _feasible_scale(p: ProblemInstance, design_t_candidate: np.ndarray) -> float:
+    """``min(1, lam / ||A^T candidate||_inf)``, given ``A^T candidate``: the
+    factor that scales a candidate into the dual feasible set; 1 for a zero
+    product."""
+    corr = float(np.abs(design_t_candidate).max())
+    return 1.0 if corr == 0.0 else min(1.0, p.lam / corr)
+
+
 def _certificate(
     p: ProblemInstance,
     primal: float,
@@ -64,8 +73,7 @@ def _certificate(
     ||A^T candidate||_inf)``, given ``A^T candidate`` (its sign does not
     matter; a zero product leaves the candidate unscaled); O(m + n), no
     product with the design."""
-    corr = float(np.abs(design_t_candidate).max())
-    alpha_hat = candidate if corr == 0.0 else min(1.0, p.lam / corr) * candidate
+    alpha_hat = _feasible_scale(p, design_t_candidate) * candidate
     dual = _dual_value(p, alpha_hat)
     gap = max(0.0, (primal - dual) / max(primal, GAP_DENOMINATOR_FLOOR))
     return DualCertificate(

@@ -24,8 +24,9 @@ default to :class:`~dalsparse.probgen.GenSpec`'s fields.
 
 Exit codes: 0 success (non-convergence is data, not failure), 2 usage,
 3 data/format/IO, 4 internal numeric error.  :func:`main` is the one
-usage-error path: each input is checked by the class that owns its rule
-(``SolverConfig``, ``IstConfig``, ``GenSpec`` and ``resolve_spec``) before
+usage-error path: each input is checked by the code that owns its rule
+(``SolverConfig``, ``IstConfig``, ``GenSpec``, ``resolve_spec``, and
+:mod:`~dalsparse.probgen`'s key range for ``--w-init random:SEED``) before
 anything is loaded, generated or solved, and a ``ValueError`` becomes
 argparse's usage error.  ``bench`` runs instances on a pool of ``--workers``
 threads (capped by ``DAL_NUM_THREADS``) and cancels the queued ones when an
@@ -289,10 +290,9 @@ def _check_solver_flags(args, solvers: list[str]) -> None:
 def _cmd_solve(args) -> int:
     _check_solver_flags(args, [args.solver])
     kind, _, seed = args.w_init.partition(":")
-    if args.w_init != "zero" and (kind != "random" or int(seed) < 0):
-        raise ValueError(f"w-init must be 'zero' or 'random:SEED' with SEED >= 0, "
-                         f"got {args.w_init!r}")
-    w_seed = int(seed) if kind == "random" else None
+    if args.w_init != "zero" and kind != "random":
+        raise ValueError(f"w-init must be 'zero' or 'random:SEED', got {args.w_init!r}")
+    w_seed = probgen._check_key(int(seed)) if kind == "random" else None
     p = probgen.load_problem(args.problem).problem
     record = _run_and_record(args.solver, p, _initial_w(w_seed, p.n), args)
     # RFC 8259 JSON has no inf or nan: a failed solve's gap is written null.

@@ -56,6 +56,14 @@ certificates + 1`` full-design products: one per Newton step (the line
 search), the refresh per outer iteration, one per residual certificate, and
 ``A^T b`` at the start.  Masked workspaces (see :class:`InnerWorkspace`), a
 dense iterate's ``A w`` and descent retries add to it.
+
+That first product also places the starting multiplier: alpha starts at
+``b`` scaled into the dual feasible set ``||A^T alpha||_inf <= lam``, and its
+``A^T alpha`` is ``A^T b`` scaled by the same factor.  From ``w = 0`` the
+first active set is then empty, so the first Newton step is a gradient step
+and later active sets grow from below; unscaled, ``A^T b`` exceeds lam on
+most columns of a wide problem, and the first steps run on masked, m x m
+systems.
 """
 
 from __future__ import annotations
@@ -69,7 +77,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .certificates import _certificate, relative_duality_gap
+from .certificates import _certificate, _feasible_scale, relative_duality_gap
 from .prox import ProblemInstance, _primal_value, _starting_point, soft_threshold
 
 INNER_VARIANTS = ("cholesky", "pcg")
@@ -592,8 +600,9 @@ def solve(
     """Run the full outer loop until the relative duality gap meets tolerance.
 
     The inner solve warm-starts from the previous outer iteration's alpha
-    (initially alpha = b, the minimizer of the barrier-free quadratic term)
-    and stops on primal progress or at the scheduled eps, whichever comes
+    (initially ``b * min(1, lam/||A^T b||_inf)``: the minimizer of the
+    barrier-free quadratic term, scaled into the dual feasible set) and
+    stops on primal progress or at the scheduled eps, whichever comes
     first.  After it, the gap of ``alpha * min(1, lam/||A^T alpha||_inf)``
     is computed from the fresh ``A^T alpha``; only when it meets the
     tolerance is the residual certificate formed, and only that certificate
@@ -606,14 +615,18 @@ def solve(
     w = _starting_point(p, w_initial)
     eta = _starting_eta(p, config.eta_initial)
     eps = max(_EPS_INITIAL_SCALE * math.sqrt(p.m), _EPS_FLOOR)
-    alpha = p.observations.copy()
     objective_trace: list[float] = []
     gap_trace: list[float] = []
     newton_total = pcg_total = cap_hits = 0
     converged = False
     primal = math.inf
     gap = math.inf
-    design_t_alpha = p.design.T @ alpha
+    # Start at b scaled into the dual feasible set, as certificates scale
+    # their candidates (see the module docstring).
+    design_t_alpha = p.design.T @ p.observations
+    scale = _feasible_scale(p, design_t_alpha)
+    alpha = scale * p.observations
+    design_t_alpha *= scale
     for k in range(1, config.max_outer + 1):
         retry = 1.0
         while True:

@@ -88,8 +88,12 @@ class GenSpec:
             raise ValueError(f"family must be one of {FAMILIES}")
         if not 0 < self.density <= 1:
             raise ValueError("density must lie in (0, 1]")
-        if self.noise_variance is not None and self.noise_variance < 0:
-            raise ValueError("noise_variance must be nonnegative")
+        if self.noise_variance is not None and not (
+            math.isfinite(self.noise_variance) and self.noise_variance >= 0
+        ):
+            raise ValueError(
+                f"noise_variance must be finite and nonnegative, got {self.noise_variance}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -138,6 +142,16 @@ class GeneratedProblem:
     problem: ProblemInstance
     true_coeffs: np.ndarray
     seed: int | None
+
+
+_KEY_BITS = 128  # Philox takes keys in [0, 2**_KEY_BITS)
+
+
+def _check_key(seed: int) -> int:
+    """``seed``, if it is a key :func:`_rng` accepts; else a ``ValueError``."""
+    if not 0 <= seed < 2**_KEY_BITS:
+        raise ValueError(f"seed must lie in [0, 2**{_KEY_BITS}), got {seed}")
+    return seed
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -88,6 +88,16 @@ class TestGen:
         assert "dalbench: error: seed must lie in" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", ["inf", "nan"])
+    def test_nonfinite_noise_is_usage_error(self, tmp_path, capsys, noise):
+        out = tmp_path / "x.dalp"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--family", "normal", "--m", "8", "--noise-variance", noise,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "dalbench: error: noise_variance must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_export(self, tmp_path, capsys):
         out, csv_out = tmp_path / "p.dalp", tmp_path / "p.csv"
         code, _, _ = run_main(
@@ -459,6 +469,44 @@ class TestSolveChecksFirst:
         assert "dalbench: error:" in captured.err
         assert captured.out == ""
         assert loads == []
+
+
+class TestSolveKeyRange:
+    """``solve --w-init random:SEED`` takes the keys the generator's stream
+    takes, [0, 2**128), and rejects others before it loads the problem."""
+
+    @pytest.fixture
+    def loads(self, tmp_path, monkeypatch):
+        self.path = tmp_path / "p.dalp"
+        save_problem(self.path, probgen.generate(GenSpec(family="normal", m=8, seed=1)))
+        calls = []
+        real_load = probgen.load_problem
+
+        def load_problem(p):
+            calls.append(p)
+            return real_load(p)
+
+        monkeypatch.setattr(probgen, "load_problem", load_problem)
+        return calls
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**200],
+                             ids=["-1", "2**128", "2**200"])
+    def test_out_of_range_rejected_before_load(self, capsys, loads, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(self.path), "--solver", "dal-chol",
+                  "--w-init", f"random:{seed}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "dalbench: error: seed must lie in [0, 2**128)" in captured.err
+        assert captured.out == ""
+        assert loads == []
+
+    def test_largest_key_accepted(self, capsys, loads):
+        code, stdout, _ = run_main(["solve", str(self.path), "--solver", "dal-chol",
+                                    "--w-init", f"random:{2**128 - 1}"], capsys)
+        assert code == 0
+        assert json.loads(stdout)["converged"] is True
+        assert len(loads) == 1
 
 
 class TestFailedSolveRecord:

@@ -199,6 +199,55 @@ class TestSolve:
             solve(p)
 
 
+class TestFeasibleStart:
+    """solve() starts its first inner problem at b scaled into the dual
+    feasible set ||A^T alpha||_inf <= lam, with the matching A^T alpha."""
+
+    def first_inner_call(self, monkeypatch, p, variant, w_initial):
+        real_inner_solve = dal.inner_solve
+        calls = []
+
+        def inner_solve(*args):
+            calls.append(args)
+            return real_inner_solve(*args)
+
+        monkeypatch.setattr(dal, "inner_solve", inner_solve)
+        report = solve(p, SolverConfig(inner_variant=variant), w_initial)
+        assert report.converged
+        _, _, _, _, alpha_start, _, design_t_alpha, _ = calls[0]
+        return alpha_start, design_t_alpha
+
+    @pytest.mark.parametrize("variant", ["cholesky", "pcg"])
+    @pytest.mark.parametrize("init", ["zero", "random"])
+    def test_start_is_feasible_and_carries_its_product(self, monkeypatch, variant,
+                                                       init):
+        for seed in (1, 2):
+            p = generate(GenSpec(family="normal", m=32, seed=seed)).problem
+            assert np.abs(p.design.T @ p.observations).max() > p.lam
+            rng = np.random.default_rng(seed)
+            w_initial = rng.standard_normal(p.n) if init == "random" else None
+            alpha, design_t_alpha = self.first_inner_call(monkeypatch, p, variant,
+                                                          w_initial)
+            exact = p.design.T @ alpha
+            assert np.abs(exact).max() <= p.lam * (1 + 1e-12)
+            np.testing.assert_allclose(design_t_alpha, exact, rtol=0,
+                                       atol=1e-12 * np.abs(exact).max())
+
+    @pytest.mark.parametrize("variant", ["cholesky", "pcg"])
+    @pytest.mark.parametrize("init", ["zero", "random"])
+    @pytest.mark.parametrize("margin", [1.0 + 1e-9, 1.5])
+    def test_start_is_b_when_already_feasible(self, monkeypatch, variant, init,
+                                              margin):
+        rng = np.random.default_rng(31)
+        A = rng.standard_normal((6, 20)) * 0.1
+        b = rng.standard_normal(6)
+        p = ProblemInstance(design=A, observations=b,
+                            lam=float(np.abs(A.T @ b).max()) * margin)
+        w_initial = rng.standard_normal(p.n) if init == "random" else None
+        alpha, _ = self.first_inner_call(monkeypatch, p, variant, w_initial)
+        assert np.array_equal(alpha, p.observations)
+
+
 class TestSolverConfigValidation:
     def test_growth_must_exceed_one(self):
         with pytest.raises(ValueError):

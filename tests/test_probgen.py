@@ -165,6 +165,19 @@ class TestGenSpecSeed:
         assert generate(GenSpec(family="normal", m=4, seed=seed)).seed == seed
 
 
+class TestGenSpecNoise:
+    """A noise variance is finite and nonnegative."""
+
+    @pytest.mark.parametrize("noise", [-1.0, float("inf"), float("nan")])
+    def test_invalid_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise_variance"):
+            GenSpec(family="normal", m=4, noise_variance=noise)
+
+    def test_zero_accepted(self):
+        p = generate(GenSpec(family="normal", m=4, noise_variance=0.0)).problem
+        assert np.all(np.isfinite(p.observations))
+
+
 class TestProblemFiles:
     def test_round_trip_bitwise(self, tmp_path):
         gen = generate(GenSpec(family="normal", m=16, seed=16))
