@@ -5,8 +5,8 @@ Three subcommands:
 * ``gen``   -- write a problem file in the binary container format.
 * ``solve`` -- run one solver on a problem file; emit a JSON record on stdout.
 * ``bench`` -- generate each (size, seed) instance of a family once, run every
-  requested solver on it, and write a per-run CSV plus a per-(solver, size)
-  median aggregate CSV.
+  requested solver on it, and write a per-run CSV at ``--out`` plus a
+  per-(solver, size) median CSV at ``<out stem>_agg<ext>`` (``.csv`` if none).
 
 Every run becomes a :class:`BenchRecord` in :func:`_run_and_record`; its
 fields are the JSON keys and the CSV columns, and its ``wall_time_s`` is the
@@ -28,10 +28,11 @@ usage-error path: each input is checked by the code that owns its rule
 (``SolverConfig``, ``IstConfig``, ``GenSpec``, ``resolve_spec``, and
 :mod:`~dalsparse.probgen`'s key range for ``--w-init random:SEED``) before
 anything is loaded, generated or solved, and a ``ValueError`` becomes
-argparse's usage error.  ``bench`` runs instances on a pool of ``--workers``
-threads (capped by ``DAL_NUM_THREADS``) and cancels the queued ones when an
-instance raises an error it does not record, or on Ctrl-C; rows are sorted
-on a deterministic key so output is identical for any worker count, modulo
+argparse's usage error; a missing output directory exits 3 before any work.
+``bench`` runs instances on a pool of ``--workers`` (at least 1) threads, by
+default and at most a set ``DAL_NUM_THREADS`` (a positive integer), and
+cancels the queued ones when one raises an error it does not record, or on
+Ctrl-C; rows are sorted so output is identical for any worker count, modulo
 the wall-time column.
 """
 
@@ -239,12 +240,11 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--solvers", default=",".join(SOLVER_IDS))
     bench.add_argument("--w-init", default="zero", choices=("zero", "random"),
                        help="zero | random (seed-derived)")
-    bench.add_argument("--out", required=True, help="per-run CSV path")
-    bench.add_argument("--aggregate-out", default=None,
-                       help="median CSV path (default: <out>_agg.csv)")
+    bench.add_argument("--out", required=True, help="per-run CSV path; medians "
+                       "go to <out stem>_agg<ext> (.csv if no extension)")
     bench.add_argument("--workers", type=int, default=None,
-                       help="instances run in parallel (default and cap: "
-                            "DAL_NUM_THREADS, else 1)")
+                       help="instances run in parallel, at least 1 (default "
+                            "and cap: DAL_NUM_THREADS, else 1)")
     bench.add_argument("--allow-huge", action="store_true",
                        help=f"permit largescale n above {HUGE_N_CAP}")
     return parser
@@ -261,6 +261,13 @@ def _gen_spec_from_args(args) -> GenSpec:
         lambda_rule=rule,
         seed=args.seed,
     )
+
+
+def _check_output_dirs(args) -> None:
+    """Raise an ``OSError`` (exit 3) if an output path's directory is missing."""
+    for path in (vars(args).get("out"), vars(args).get("csv")):
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"no directory for output {path!r}")
 
 
 def _cmd_gen(args) -> int:
@@ -391,14 +398,14 @@ def _cmd_bench(args) -> int:
     specs = [probgen.resolve_spec(GenSpec(family=args.family, seed=seed,
                                           **{size_field: size}))
              for size in sizes for seed in seeds]
-
-    env_cap = os.environ.get("DAL_NUM_THREADS")
-    workers = args.workers
-    if workers is None:
-        workers = int(env_cap) if env_cap else 1
-    if env_cap:
-        workers = min(workers, int(env_cap))
-    workers = max(1, workers)
+    env = os.environ.get("DAL_NUM_THREADS")  # the default worker count and cap
+    cap = int(env) if env is not None and env.isdecimal() else None
+    if (env is not None and not cap) or (args.workers is not None and args.workers < 1):
+        raise ValueError(f"--workers={args.workers}, DAL_NUM_THREADS={env!r}: each "
+                         "must be a positive integer when given")
+    workers = min(args.workers or cap, cap) if cap else args.workers or 1
+    root, ext = os.path.splitext(args.out)
+    agg_path = f"{root}_agg{ext or '.csv'}"
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         runs = [pool.submit(_bench_instance, spec, solvers, args) for spec in specs]
@@ -411,10 +418,6 @@ def _cmd_bench(args) -> int:
     records.sort(key=lambda r: (r.solver, r.m, r.n, r.seed))
     _write_csv(args.out, [f.name for f in fields(BenchRecord)],
                [asdict(r) for r in records])
-    agg_path = args.aggregate_out
-    if agg_path is None:
-        root, ext = os.path.splitext(args.out)
-        agg_path = f"{root}_agg{ext or '.csv'}"
     _write_csv(agg_path, _AGGREGATE_FIELDS, aggregate_records(records))
     print(args.out)
     print(agg_path)
@@ -427,6 +430,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "solve":
@@ -437,10 +441,6 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def entry() -> None:  # console-script wrapper
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -216,13 +216,13 @@ def _gather_pays(p, k):
 class InnerWorkspace:
     """The active-set operator A+ at one inner point (p, eta, alpha).
 
-    Holds q = A^T alpha + w/eta, its active set, and the active columns of
-    the design, gathered into ``active_cols``.  ``active_cols`` is None when
-    the active set covers so much of the matrix that copying it would
-    outweigh masked full-matrix products; the operator then runs matrix-free
-    against the stored design.  ``matvec``, ``gram``, ``smaller_gram`` and
-    ``diag`` each add the active-set size to :data:`counters`; ``rmatvec``
-    adds nothing.
+    Holds q = A^T alpha + w/eta, its active set, ``shrunk`` = ST_lam(q) on
+    that set (q_j - lam*sign(q_j)), and the active columns of the design,
+    gathered into ``active_cols``.  ``active_cols`` is None when the active
+    set covers so much of the matrix that copying it would outweigh masked
+    full-matrix products; the operator then runs matrix-free against the
+    stored design.  ``matvec``, ``gram``, ``smaller_gram`` and ``diag`` each
+    add the active-set size to :data:`counters`; ``rmatvec`` adds nothing.
     """
 
     p: ProblemInstance
@@ -231,6 +231,7 @@ class InnerWorkspace:
     design_t_alpha: np.ndarray
     q: np.ndarray
     active: np.ndarray
+    shrunk: np.ndarray
     active_cols: np.ndarray | None
 
     def matvec(self, values: np.ndarray) -> np.ndarray:
@@ -312,8 +313,10 @@ def inner_workspace(
         design_t_alpha = p.design.T @ alpha
     q = design_t_alpha + np.asarray(w, dtype=float) / eta
     active = compute_active_set(q, p.lam)
+    qa = q[active]
+    shrunk = qa - p.lam * np.sign(qa)
     cols = p.design[:, active] if _gather_pays(p, active.size) else None
-    return InnerWorkspace(p, eta, alpha, design_t_alpha, q, active, cols)
+    return InnerWorkspace(p, eta, alpha, design_t_alpha, q, active, shrunk, cols)
 
 
 def _objective_from_q(p, eta, alpha, q):
@@ -331,10 +334,7 @@ def inner_objective(
 
 
 def _gradient(ws):
-    # ST_lam restricted to the active set: q_j - lam*sign(q_j) there, 0 elsewhere.
-    qa = ws.q[ws.active]
-    shrunk = qa - ws.p.lam * np.sign(qa)
-    return ws.alpha - ws.p.observations + ws.eta * ws.matvec(shrunk)
+    return ws.alpha - ws.p.observations + ws.eta * ws.matvec(ws.shrunk)
 
 
 def inner_gradient(
@@ -495,8 +495,7 @@ def _multiplier_step(ws, w):
     """||ST_{lam*eta}(w + eta*A^T alpha) - w|| / sqrt(eta), from q; O(n)."""
     # w + eta*A^T alpha = eta*q, and ST_{lam*eta}(eta*q) = eta*ST_lam(q).
     step = -w
-    qa = ws.q[ws.active]
-    step[ws.active] += ws.eta * (qa - ws.p.lam * np.sign(qa))
+    step[ws.active] += ws.eta * ws.shrunk
     return float(np.linalg.norm(step)) / math.sqrt(ws.eta)
 
 

@@ -2,12 +2,14 @@
 
 import csv
 import dataclasses
+import importlib
 import inspect
 import json
 import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -828,3 +830,96 @@ class TestConsoleEntry:
         proc = subprocess.run(
             [sys.executable, "-m", "dalsparse.cli"], capture_output=True, text=True)
         assert proc.returncode == 2
+
+    def test_console_script_is_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["dalbench"]
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.main
+
+
+@pytest.fixture()
+def generate_calls(monkeypatch):
+    """The specs ``probgen.generate`` is called with."""
+    calls = []
+    real_generate = probgen.generate
+
+    def generate(spec):
+        calls.append(spec)
+        return real_generate(spec)
+
+    monkeypatch.setattr(probgen, "generate", generate)
+    return calls
+
+
+class TestBenchWorkers:
+    """``--workers`` below 1, or a set ``DAL_NUM_THREADS`` that is not a
+    positive integer, is a usage error raised before anything is generated."""
+
+    ARGV = ["bench", "--family", "normal", "--sizes", "16", "--seeds", "1..2",
+            "--solvers", "dal-cg"]
+
+    @pytest.mark.parametrize("workers, env", [("0", None), ("-1", None),
+                                              (None, "0"), (None, "two")])
+    def test_bad_count_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                      generate_calls, workers, env):
+        if env is None:
+            monkeypatch.delenv("DAL_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("DAL_NUM_THREADS", env)
+        out = tmp_path / "x.csv"
+        argv = self.ARGV + ["--out", str(out)]
+        if workers is not None:
+            argv += ["--workers", workers]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "dalbench: error:" in capsys.readouterr().err
+        assert generate_calls == []
+        assert not out.exists()
+
+
+class TestBenchOutputPaths:
+    """The aggregate CSV sits next to ``--out``; a missing output directory
+    exits 3 before anything is generated."""
+
+    def test_out_without_extension(self, tmp_path, capsys):
+        out = tmp_path / "rows"
+        code, stdout, _ = run_main(
+            ["bench", "--family", "normal", "--sizes", "16", "--seeds", "1",
+             "--solvers", "dal-cg", "--out", str(out)], capsys)
+        assert code == 0
+        assert stdout.split() == [str(out), str(tmp_path / "rows_agg.csv")]
+        assert len(read_csv(out)) == 2
+        assert len(read_csv(tmp_path / "rows_agg.csv")) == 2
+
+    def test_aggregate_out_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--family", "normal", "--sizes", "16", "--seeds", "1",
+                  "--out", str(tmp_path / "x.csv"),
+                  "--aggregate-out", str(tmp_path / "y.csv")])
+        assert exc.value.code == 2
+
+    def test_bench_missing_dir_fails_first(self, tmp_path, capsys, generate_calls):
+        code, _, stderr = run_main(
+            ["bench", "--family", "normal", "--sizes", "16", "--seeds", "1..3",
+             "--solvers", "dal-cg", "--out", str(tmp_path / "missing" / "rows.csv")],
+            capsys)
+        assert code == cli.EXIT_DATA
+        assert "error:" in stderr
+        assert generate_calls == []
+
+    @pytest.mark.parametrize("missing", ["--out", "--csv"])
+    def test_gen_missing_dir_fails_first(self, tmp_path, capsys, generate_calls,
+                                         missing):
+        paths = {"--out": tmp_path / "p.dalp", "--csv": tmp_path / "p.csv"}
+        paths[missing] = tmp_path / "missing" / paths[missing].name
+        argv = ["gen", "--family", "normal", "--m", "8"]
+        for flag, path in paths.items():
+            argv += [flag, str(path)]
+        code, _, _ = run_main(argv, capsys)
+        assert code == cli.EXIT_DATA
+        assert generate_calls == []
+        assert list(tmp_path.iterdir()) == []

@@ -478,8 +478,8 @@ class TestProgressStopRule:
 
     @pytest.mark.parametrize("variant", ["cholesky", "pcg"])
     def test_fewer_newton_steps_at_first_outer_point(self, variant):
-        # The first inner problem of solve(): w = 0, eta = 1/lam, alpha = b,
-        # at the scheduled eps.
+        # solve()'s first outer point (w = 0, eta = 1/lam, the scheduled eps),
+        # entered from alpha = b rather than solve()'s scaled feasible start.
         cfg = SolverConfig(inner_variant=variant)
         for seed in (1, 2, 3):
             p = generate(GenSpec(family="normal", m=64, seed=seed)).problem
