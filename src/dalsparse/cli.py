@@ -28,7 +28,8 @@ usage-error path: each input is checked by the code that owns its rule
 (``SolverConfig``, ``IstConfig``, ``GenSpec``, ``resolve_spec``, and
 :mod:`~dalsparse.probgen`'s key range for ``--w-init random:SEED``) before
 anything is loaded, generated or solved, and a ``ValueError`` becomes
-argparse's usage error; a missing output directory exits 3 before any work.
+argparse's usage error; an output path that is a directory, or whose
+directory is missing, exits 3 before any work.
 ``bench`` runs instances on a pool of ``--workers`` (at least 1) threads, by
 default and at most a set ``DAL_NUM_THREADS`` (a positive integer), and
 cancels the queued ones when one raises an error it does not record, or on
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -263,10 +265,25 @@ def _gen_spec_from_args(args) -> GenSpec:
     )
 
 
+def _aggregate_path(out: str) -> str:
+    """Where ``bench`` writes its medians: ``<out stem>_agg<ext>``, ``.csv``
+    when ``out`` has no extension."""
+    root, ext = os.path.splitext(out)
+    return f"{root}_agg{ext or '.csv'}"
+
+
 def _check_output_dirs(args) -> None:
-    """Raise an ``OSError`` (exit 3) if an output path's directory is missing."""
-    for path in (vars(args).get("out"), vars(args).get("csv")):
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+    """Raise an ``OSError`` (exit 3) if an output path is a directory or its
+    directory is missing."""
+    paths = [vars(args).get("out"), vars(args).get("csv")]
+    if args.command == "bench":
+        paths.append(_aggregate_path(args.out))
+    for path in paths:
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"no directory for output {path!r}")
 
 
@@ -404,8 +421,7 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"--workers={args.workers}, DAL_NUM_THREADS={env!r}: each "
                          "must be a positive integer when given")
     workers = min(args.workers or cap, cap) if cap else args.workers or 1
-    root, ext = os.path.splitext(args.out)
-    agg_path = f"{root}_agg{ext or '.csv'}"
+    agg_path = _aggregate_path(args.out)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         runs = [pool.submit(_bench_instance, spec, solvers, args) for spec in specs]

@@ -38,24 +38,35 @@ whether A+ was gathered into a copy or is applied masked against the full
 design, and the one place that counts column touches.
 
 Products with the whole design matrix dominate the cost of wide problems, so
-``A^T alpha`` is carried through the loop instead of recomputed.  Each line
-search already forms ``A^T d`` for its direction d and hands the accepted
-point's ``A^T alpha + step*A^T d`` to the next Newton step; the multiplier
-update reads the same vector; and ``A w`` is formed from the nonzero columns
-of the sparse iterate.  :func:`solve` takes one fresh ``A^T alpha`` after
-every inner solve (and after every descent retry), which is the only refresh
-and bounds the rounding drift of the carried vector.
+``A^T alpha`` is carried through the loop instead of recomputed, and kept
+exact only on the columns that can become active.  A line search step
+``t <= 1`` along d moves q_j by at most ``||a_j||*||d||`` (Cauchy-Schwarz,
+the sphere test of Gap Safe screening: Fercoq, Gramfort & Salmon, ICML
+2015), so each line search reads only the columns whose carried upper bound
+on |q_j| plus that radius exceeds lam.  When they are few enough to gather,
+one blocked pass over them forms both ``a_j^T alpha`` and ``a_j^T d``;
+every other column stays at or below lam at every trial point, adds nothing
+to the trial objectives, and only has its bound grown by ``t*||a_j||*||d||``.
+Otherwise the search makes one full product for ``A^T d``, plus one for the
+entries earlier steps left stale when those are too many to gather.  The
+column norms are computed once per solve.  The multiplier update reads the
+carried vector, and ``A w`` is formed from the nonzero columns of the sparse
+iterate.  :func:`solve` takes one fresh ``A^T alpha`` after every inner solve
+(and after every descent retry), which is the only full refresh and bounds
+the rounding drift of the carried vector.
 
 The same fresh ``A^T alpha`` certifies the iterate cheaply: scaled into the
 dual feasible set, alpha gives a duality gap in O(m + n).  Only when that gap
 meets the tolerance does the solver form ``A^T (A w - b)`` for the residual
 certificate of :mod:`dalsparse.certificates`, and it stops only on the
 latter, so the returned ``w`` is certified from its own residual.  A solve
-therefore makes about ``Newton steps + outer iterations + residual
-certificates + 1`` full-design products: one per Newton step (the line
-search), the refresh per outer iteration, one per residual certificate, and
-``A^T b`` at the start.  Masked workspaces (see :class:`InnerWorkspace`), a
-dense iterate's ``A w`` and descent retries add to it.
+therefore makes ``outer iterations + residual certificates + 1`` full-design
+products (the refresh per outer iteration, one per residual certificate, and
+``A^T b`` at the start), plus one or two per line search that cannot gather
+its columns: near the start every column can cross lam and each Newton step
+costs a full product, while in the later, sparse steps most cost none.
+Masked workspaces (see :class:`InnerWorkspace`), a dense iterate's ``A w``
+and descent retries add to it.
 
 That first product also places the starting multiplier: alpha starts at
 ``b`` scaled into the dual feasible set ``||A^T alpha||_inf <= lam``, and its
@@ -69,8 +80,10 @@ systems.
 from __future__ import annotations
 
 import math
+import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -197,6 +210,10 @@ class SolveReport:
 # genuinely sparse (a quarter of the columns) or the copy itself gets large.
 _GATHER_MAX_FRACTION = 0.25
 _GATHER_MAX_ELEMENTS = 2**25
+# Passes over a column subset or over the whole design (the line search's
+# gathered products, the column norms) work in blocks of this many elements,
+# 4 MiB of float64: 512 columns at m=1024.
+_BLOCK_ELEMENTS = 2**19
 
 
 def compute_active_set(q: np.ndarray, lam: float) -> np.ndarray:
@@ -210,6 +227,49 @@ def _gather_pays(p, k):
         k <= max(16, int(_GATHER_MAX_FRACTION * p.n))
         and k * p.m <= _GATHER_MAX_ELEMENTS
     )
+
+
+def _block_columns(m):
+    """Columns per block of a blocked pass over an m-row design."""
+    return max(1, _BLOCK_ELEMENTS // m)
+
+
+def _gathered_products(p, columns, vectors):
+    """``A[:, columns]^T @ vectors``, gathering the columns block by block."""
+    out = np.empty((columns.size,) + vectors.shape[1:])
+    step = _block_columns(p.m)
+    for lo in range(0, columns.size, step):
+        out[lo : lo + step] = p.design[:, columns[lo : lo + step]].T @ vectors
+    return out
+
+
+def _column_norms(design):
+    """||a_j|| for every column of ``design``, in blocks split across threads.
+
+    Each block's squared norms are a stack of 1 x m by m x 1 products, which
+    numpy runs through BLAS dot outside the GIL, so a large design is read
+    about as fast as by one threaded full product.  A design of one block
+    is read on the calling thread.
+    """
+    rows = np.asarray(design).T
+    n, m = rows.shape
+    sq = np.empty(n)
+    step = _block_columns(m)
+    starts = range(0, n, step)
+    workers = min(os.cpu_count() or 1, len(starts))
+
+    def run(first):
+        for lo in starts[first::workers]:
+            block = rows[lo : lo + step]
+            out = sq[lo : lo + step, None, None]
+            np.matmul(block[:, None, :], block[:, :, None], out=out)
+
+    if workers == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, range(workers)))
+    return np.sqrt(sq, out=sq)
 
 
 @dataclass(frozen=True)
@@ -446,22 +506,87 @@ def newton_direction_pcg(
     return _newton_pcg(ws, np.asarray(grad, dtype=float), tol, max_iters)
 
 
-def _line_search(ws, direction, grad, shrink, sufficient_decrease):
-    """Armijo search from ws.alpha; returns the accepted alpha, step and A^T alpha."""
+@dataclass
+class _CarriedProduct:
+    """``A^T alpha`` carried through one inner solve, exact where it can matter.
+
+    ``design_t_alpha`` is exact where ``exact`` is set, and there ``upper``
+    is |q_j| itself, for q_j = (A^T alpha)_j + shift_j.  Elsewhere
+    ``design_t_alpha`` holds its value at an earlier alpha, and all that is
+    known is |q_j| <= upper_j <= lam: the column is inactive.  ``shift`` is
+    w/eta and ``norms`` holds the column norms ||a_j||.
+    """
+
+    norms: np.ndarray
+    shift: np.ndarray
+    design_t_alpha: np.ndarray
+    upper: np.ndarray
+    exact: np.ndarray
+
+    @classmethod
+    def start(cls, norms, shift, design_t_alpha):
+        """Exact everywhere: ``design_t_alpha`` is a fresh ``A^T alpha``."""
+        dta = np.array(design_t_alpha, dtype=float)
+        return cls(norms, shift, dta, np.abs(dta + shift), np.ones(dta.size, bool))
+
+    def refresh_stale(self, p, alpha):
+        """Make every entry exact at ``alpha``: gather the stale columns, or
+        take one full product when gathering them does not pay."""
+        stale = np.flatnonzero(~self.exact)
+        if stale.size == 0:
+            return
+        if _gather_pays(p, stale.size):
+            self.design_t_alpha[stale] = _gathered_products(p, stale, alpha)
+        else:
+            self.design_t_alpha = p.design.T @ alpha
+        self.exact[:] = True
+
+    def advance(self, cols, step, design_t_dir, reach):
+        """Move to alpha + step*d: exact on ``cols``, where ``design_t_dir``
+        holds A^T d; every other |q_j| grows by at most step*reach_j."""
+        self.design_t_alpha[cols] += step * design_t_dir
+        self.upper += step * reach
+        self.upper[cols] = np.abs(self.design_t_alpha[cols] + self.shift[cols])
+        self.exact[:] = False
+        self.exact[cols] = True
+
+
+def _line_search(ws, direction, grad, shrink, sufficient_decrease, carried):
+    """Armijo search from ws.alpha; returns the accepted alpha and step, and
+    advances ``carried`` to the accepted alpha.
+
+    A step t <= 1 along d moves q_j by at most ||a_j||*||d|| (Cauchy-Schwarz),
+    so only the columns with ``upper_j + ||a_j||*||d|| > lam`` can be active
+    at a trial point; the others add nothing to any trial objective.  When
+    gathering those columns pays, one blocked pass over them forms both
+    ``a_j^T alpha`` and ``a_j^T d``, and the objectives run over them alone;
+    otherwise one full product forms ``A^T d`` (after a refresh of the stale
+    entries, if there are any) and the objectives run over every column.
+    """
     p, eta, alpha = ws.p, ws.eta, ws.alpha
-    g0 = _objective_from_q(p, eta, alpha, ws.q)
     slope = float(grad @ direction)
     if slope >= 0.0:
         direction = -grad
         slope = -float(grad @ grad)
-    # One transposed product per search; each trial is then O(m + n).
-    design_t_dir = p.design.T @ direction
+    reach = float(np.linalg.norm(direction)) * carried.norms
+    cols = np.flatnonzero(carried.upper + reach > p.lam)
+    if _gather_pays(p, cols.size):
+        both = _gathered_products(p, cols, np.column_stack((alpha, direction)))
+        carried.design_t_alpha[cols] = both[:, 0]
+        design_t_dir = both[:, 1]
+    else:
+        cols = slice(None)
+        design_t_dir = p.design.T @ direction
+        carried.refresh_stale(p, alpha)
+    q = carried.design_t_alpha[cols] + carried.shift[cols]
+    g0 = _objective_from_q(p, eta, alpha, q)
     step = 1.0
     while step >= _MIN_STEP:
         alpha_trial = alpha + step * direction
-        g_trial = _objective_from_q(p, eta, alpha_trial, ws.q + step * design_t_dir)
+        g_trial = _objective_from_q(p, eta, alpha_trial, q + step * design_t_dir)
         if g_trial <= g0 + sufficient_decrease * step * slope:
-            return alpha_trial, step, ws.design_t_alpha + step * design_t_dir
+            carried.advance(cols, step, design_t_dir, reach)
+            return alpha_trial, step
         step *= shrink
     raise LineSearchError(
         f"step underflow below {_MIN_STEP:g}; gradient/objective inconsistency"
@@ -484,11 +609,13 @@ def backtracking_line_search(
     steepest descent so decrease is always achievable.
     """
     ws = inner_workspace(p, w, eta, alpha)
-    direction = np.asarray(direction, dtype=float)
-    alpha, step, _ = _line_search(
-        ws, direction, _gradient(ws), shrink, sufficient_decrease
+    carried = _CarriedProduct.start(
+        _column_norms(p.design), np.asarray(w, dtype=float) / eta, ws.design_t_alpha
     )
-    return alpha, step
+    direction = np.asarray(direction, dtype=float)
+    return _line_search(
+        ws, direction, _gradient(ws), shrink, sufficient_decrease, carried
+    )
 
 
 def _multiplier_step(ws, w):
@@ -521,6 +648,7 @@ def inner_solve(
     config: SolverConfig,
     design_t_alpha: np.ndarray | None = None,
     progress_factor: float | None = None,
+    column_norms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Newton-iterate the inner problem from ``alpha_start`` until the gradient
     norm falls to ``eps`` or the iteration cap is reached.
@@ -534,18 +662,27 @@ def inner_solve(
 
     Returns the final alpha, the Newton steps taken, and total CG iterations
     (zero for the Cholesky variant).  ``design_t_alpha`` (= ``A^T
-    alpha_start``) may be supplied to reuse a matrix-vector product computed
-    by a solver loop; each step then makes one full-design product, in its
-    line search.
+    alpha_start``) and ``column_norms`` (the norms of the design's columns)
+    may be supplied to reuse what a solver loop computed.  ``A^T alpha`` is
+    then carried exactly only on the columns that can become active, with an
+    upper bound on |q_j| for the rest, and each line search reads only the
+    columns its step can lift above lam: a gathered pass over them when
+    gathering pays, else one full-design product (two when entries left
+    stale by earlier steps cannot be gathered).
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     w = np.asarray(w, dtype=float)
     alpha = np.array(alpha_start, dtype=float)
+    if design_t_alpha is None:
+        design_t_alpha = p.design.T @ alpha
+    if column_norms is None:
+        column_norms = _column_norms(p.design)
+    carried = _CarriedProduct.start(column_norms, w / eta, design_t_alpha)
     newton_iters = 0
     pcg_iters = 0
     for _ in range(config.max_inner_newton):
-        ws = inner_workspace(p, w, eta, alpha, design_t_alpha)
+        ws = inner_workspace(p, w, eta, alpha, carried.design_t_alpha)
         grad = _gradient(ws)
         gnorm = float(np.linalg.norm(grad))
         if _inner_done(ws, w, gnorm, eps, progress_factor):
@@ -556,8 +693,9 @@ def inner_solve(
             forcing = min(0.1, math.sqrt(gnorm))
             direction, used = _newton_pcg(ws, grad, forcing, _PCG_MAX_ITERS)
             pcg_iters += used
-        alpha, _, design_t_alpha = _line_search(
-            ws, direction, grad, config.ls_shrink, config.ls_sufficient_decrease
+        alpha, _ = _line_search(
+            ws, direction, grad, config.ls_shrink, config.ls_sufficient_decrease,
+            carried,
         )
         newton_iters += 1
     return alpha, newton_iters, pcg_iters
@@ -626,12 +764,14 @@ def solve(
     scale = _feasible_scale(p, design_t_alpha)
     alpha = scale * p.observations
     design_t_alpha *= scale
+    column_norms = _column_norms(p.design)
     for k in range(1, config.max_outer + 1):
         retry = 1.0
         while True:
             eps_inner = max(retry * eps, _EPS_FLOOR)
             alpha, n_newton, n_pcg = inner_solve(
-                p, w, eta, eps_inner, alpha, config, design_t_alpha, retry
+                p, w, eta, eps_inner, alpha, config, design_t_alpha, retry,
+                column_norms,
             )
             newton_total += n_newton
             pcg_total += n_pcg

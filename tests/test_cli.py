@@ -882,8 +882,9 @@ class TestBenchWorkers:
 
 
 class TestBenchOutputPaths:
-    """The aggregate CSV sits next to ``--out``; a missing output directory
-    exits 3 before anything is generated."""
+    """The aggregate CSV sits next to ``--out``; a missing output directory,
+    or an output path that is a directory, exits 3 before anything is
+    generated or solved."""
 
     def test_out_without_extension(self, tmp_path, capsys):
         out = tmp_path / "rows"
@@ -923,3 +924,32 @@ class TestBenchOutputPaths:
         assert code == cli.EXIT_DATA
         assert generate_calls == []
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("directory", ["rows.csv", "rows_agg.csv"])
+    def test_bench_directory_output_fails_first(self, tmp_path, capsys, monkeypatch,
+                                                generate_calls, directory):
+        (tmp_path / directory).mkdir()
+        solves = []
+        monkeypatch.setattr(cli, "run_solver", lambda *a, **k: solves.append(a))
+        code, stdout, stderr = run_main(
+            ["bench", "--family", "normal", "--sizes", "16", "--seeds", "1..3",
+             "--solvers", "dal-cg", "--out", str(tmp_path / "rows.csv")], capsys)
+        assert code == cli.EXIT_DATA
+        assert "Is a directory" in stderr
+        assert stdout == ""
+        assert generate_calls == [] and solves == []
+        assert [p.name for p in tmp_path.iterdir()] == [directory]
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_gen_directory_output_fails_first(self, tmp_path, capsys, generate_calls,
+                                              flag):
+        paths = {"--out": tmp_path / "p.dalp", "--csv": tmp_path / "p.csv"}
+        paths[flag].mkdir()
+        argv = ["gen", "--family", "normal", "--m", "8"]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        code, _, stderr = run_main(argv, capsys)
+        assert code == cli.EXIT_DATA
+        assert "Is a directory" in stderr
+        assert generate_calls == []
+        assert [p.name for p in tmp_path.iterdir()] == [paths[flag].name]

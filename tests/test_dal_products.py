@@ -2,10 +2,13 @@
 A^T alpha reuse arguments.
 
 A solve carries ``A^T alpha`` from each line search to the next Newton step
-and refreshes it once per inner solve, so it makes about one product with
-the whole design per Newton step plus one per outer iteration, and one per
-residual duality-gap certificate, which it forms only once the certificate
-of its own multiplier meets the tolerance.
+and refreshes it once per inner solve.  It makes one product with the whole
+design at the start and one per outer iteration, and one per residual
+duality-gap certificate, which it forms only once the certificate of its own
+multiplier meets the tolerance.  A line search makes at most one full
+product, or two when stale entries of the carried vector need one: when the
+columns its step can lift above lam are few enough to gather, it reads only
+those, so a sparse solve makes fewer full products than Newton steps.
 """
 
 import copy
@@ -69,10 +72,11 @@ def assert_within_budget(problem, tol):
     counted, counter = counting(problem)
     report = solve(counted, SolverConfig(outer_tolerance=tol, inner_variant="cholesky"))
     assert report.converged
-    # Every line search makes one full product, so the count cannot be lower.
-    assert counter[0] >= report.inner_newton_iters
+    # The start and every refresh make one full product each.
+    assert counter[0] >= report.outer_iters + 1
     budget = report.inner_newton_iters + 3 * report.outer_iters + 4
     assert counter[0] <= budget, (counter[0], report.inner_newton_iters, report.outer_iters)
+    return report, counter[0]
 
 
 class TestProductBudget:
@@ -83,7 +87,10 @@ class TestProductBudget:
 
     def test_largescale(self):
         p = generate(GenSpec(family="largescale", n=4096, seed=1)).problem
-        assert_within_budget(p, 1e-3)
+        report, full_products = assert_within_budget(p, 1e-3)
+        # Line searches over few enough columns gather them instead, so the
+        # count falls below one per Newton step plus the start and refreshes.
+        assert full_products < report.inner_newton_iters + report.outer_iters + 1
 
 
 def assert_within_certified_budget(problem, tol, monkeypatch):

@@ -179,7 +179,7 @@ class TestSolve:
         def inner_solve(*args):
             nonlocal full_first_passes
             result = real_inner_solve(*args)
-            if args[-1] == 1.0 and result[1] == 2:
+            if args[7] == 1.0 and result[1] == 2:
                 full_first_passes += 1
             return result
 
@@ -214,7 +214,7 @@ class TestFeasibleStart:
         monkeypatch.setattr(dal, "inner_solve", inner_solve)
         report = solve(p, SolverConfig(inner_variant=variant), w_initial)
         assert report.converged
-        _, _, _, _, alpha_start, _, design_t_alpha, _ = calls[0]
+        _, _, _, _, alpha_start, _, design_t_alpha, _, _ = calls[0]
         return alpha_start, design_t_alpha
 
     @pytest.mark.parametrize("variant", ["cholesky", "pcg"])
