@@ -7,7 +7,7 @@ One step of the proximal-gradient map is
 iterated with either a fixed step ``tau`` (valid below 2/L for
 L = ||A||_2^2, checked against a power-iteration estimate) or the
 Barzilai-Borwein spectral step.  The spectral step is clamped to
-[tau_min, tau_max] and safeguarded by the non-monotone acceptance test of
+[TAU_MIN, TAU_MAX] and safeguarded by the non-monotone acceptance test of
 SpaRSA (Wright, Nowak & Figueiredo, IEEE TSP 2009): a trial point is accepted
 only if its objective lies below the largest of the last ``NONMONOTONE_MEMORY``
 accepted objectives by a sufficient-decrease margin (the max-of-last-M rule of
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import relative_duality_gap
-from .dal import NumericError, SolveReport, SolverConfig
+from .dal import NumericError, SolveReport, SolverConfig, _check_cap
 from .probgen import _rng
 from .prox import ProblemInstance, _primal_value, _starting_point, soft_threshold
 
@@ -37,24 +37,26 @@ _POWER_ITERS = 100  # steps of the spectral-norm power iteration
 #           - SUFFICIENT_DECREASE / (2 tau) * ||w+ - w||^2.
 NONMONOTONE_MEMORY = 5
 SUFFICIENT_DECREASE = 1e-2
+# Every BB-rule step, the first (1/L) and halved ones included, stays in
+# [TAU_MIN, TAU_MAX].
+TAU_MIN = 1e-8
+TAU_MAX = 1e8
 
 
 @dataclass(frozen=True)
 class IstConfig:
-    """Step rule and termination settings for :func:`ist_solve`.
+    """Step rule and termination settings for :func:`ist_solve`: four fields.
 
     ``tau`` is required for the constant rule and validated against the
     spectral bound at solve setup; the BB rule ignores it, clamps its
-    spectral estimates to [tau_min, tau_max] and halves a step that fails the
-    non-monotone acceptance test, never below tau_min.  ``tolerance``
+    spectral estimates to [TAU_MIN, TAU_MAX] and halves a step that fails the
+    non-monotone acceptance test, never below TAU_MIN.  ``tolerance``
     defaults to DAL's ``SolverConfig.outer_tolerance``: both families stop at
-    the same relative duality gap.
+    the same relative duality gap.  ``max_iters`` is an integer of at least 1.
     """
 
     step_rule: str = "bb"
     tau: float | None = None
-    tau_min: float = 1e-8
-    tau_max: float = 1e8
     tolerance: float = SolverConfig.outer_tolerance
     max_iters: int = 50000
 
@@ -64,12 +66,9 @@ class IstConfig:
         if self.step_rule == "constant":
             if self.tau is None or not self.tau > 0:
                 raise ValueError("constant step rule requires a positive tau")
-        if not 0 < self.tau_min <= self.tau_max:
-            raise ValueError("need 0 < tau_min <= tau_max")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        _check_cap("max_iters", self.max_iters)
 
 
 def estimate_spectral_norm_sq(design: np.ndarray) -> float:
@@ -111,8 +110,8 @@ def bb_step(
     w_curr: np.ndarray,
     grad_prev: np.ndarray,
     grad_curr: np.ndarray,
-    tau_min: float = IstConfig.tau_min,
-    tau_max: float = IstConfig.tau_max,
+    tau_min: float = TAU_MIN,
+    tau_max: float = TAU_MAX,
 ) -> float:
     """Barzilai-Borwein step s^T s / s^T y, clamped to [tau_min, tau_max].
 
@@ -139,7 +138,7 @@ def ist_solve(
     optimal ``w_initial`` converges at iteration 0) from the residual and
     gradient the step computes anyway.  Under the BB rule each iteration
     starts from the spectral step and halves it until the trial point passes
-    the non-monotone acceptance test (or the step reaches ``tau_min``, where
+    the non-monotone acceptance test (or the step reaches ``TAU_MIN``, where
     the trial is taken as is).  A rejected trial costs one ``A w`` product;
     the gradient is formed only for the accepted point.  ``outer_iters``
     counts accepted steps, and ``objective_trace`` holds one value per
@@ -165,7 +164,7 @@ def ist_solve(
         tau = config.tau
     else:
         tau = 1.0 / lipschitz if lipschitz > 0.0 else 1.0
-        tau = min(max(tau, config.tau_min), config.tau_max)
+        tau = min(max(tau, TAU_MIN), TAU_MAX)
 
     residual = p.design @ w - p.observations
     grad = p.design.T @ residual
@@ -190,19 +189,19 @@ def ist_solve(
         if it == config.max_iters:
             break
         if config.step_rule == "bb" and w_prev is not None:
-            tau = bb_step(w_prev, w, grad_prev, grad, config.tau_min, config.tau_max)
+            tau = bb_step(w_prev, w, grad_prev, grad)
         w_prev, grad_prev = w, grad
         reference = max(objective_trace[-NONMONOTONE_MEMORY:])
         while True:
             w = soft_threshold(w_prev - tau * grad_prev, p.lam * tau)
             residual = p.design @ w - p.observations
             primal = _primal_value(p, w, residual)
-            if config.step_rule == "constant" or tau <= config.tau_min:
+            if config.step_rule == "constant" or tau <= TAU_MIN:
                 break
             step = w - w_prev
             if primal <= reference - SUFFICIENT_DECREASE / (2.0 * tau) * float(step @ step):
                 break
-            tau = max(0.5 * tau, config.tau_min)
+            tau = max(0.5 * tau, TAU_MIN)
         grad = p.design.T @ residual
     wall = time.perf_counter() - start
     return SolveReport(

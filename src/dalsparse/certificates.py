@@ -23,6 +23,7 @@ inside the feasible set (see :func:`dalsparse.dal.solve`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +73,12 @@ def _certificate(
     """Certificate of a primal value ``primal`` by ``candidate * min(1, lam /
     ||A^T candidate||_inf)``, given ``A^T candidate`` (its sign does not
     matter; a zero product leaves the candidate unscaled); O(m + n), no
-    product with the design."""
+    product with the design.  A non-finite gap, as from a ``w`` holding a NaN
+    or an inf, is reported as ``inf``: such a point is never certified."""
     alpha_hat = _feasible_scale(p, design_t_candidate) * candidate
     dual = _dual_value(p, alpha_hat)
-    gap = max(0.0, (primal - dual) / max(primal, GAP_DENOMINATOR_FLOOR))
+    gap = (primal - dual) / max(primal, GAP_DENOMINATOR_FLOOR)
+    gap = max(0.0, gap) if math.isfinite(gap) else math.inf
     return DualCertificate(
         alpha_hat=alpha_hat, primal_value=primal, dual_value=dual, relative_gap=gap
     )
@@ -110,5 +113,6 @@ def relative_duality_gap(
     residual: np.ndarray | None = None,
     design_t_residual: np.ndarray | None = None,
 ) -> float:
-    """Relative duality gap ``max(0, (f(w) - d(alpha_hat)) / max(f(w), floor))``."""
+    """Relative duality gap ``max(0, (f(w) - d(alpha_hat)) / max(f(w), floor))``,
+    or ``inf`` when that is not finite."""
     return dual_certificate(p, w, residual, design_t_residual).relative_gap

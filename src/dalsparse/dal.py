@@ -8,15 +8,15 @@ multiplier estimate w_k, the inner problem is
                              + (eta_k/2)*||ST_lam(A^T alpha + w_k/eta_k)||^2
 
 solved by a damped Newton method, after which the multiplier is refreshed by
-w_{k+1} = ST_{lam*eta_k}(w_k + eta_k*A^T alpha_k) and eta grows
-geometrically.  The inner solve stops on primal progress, by the rule that
+w_{k+1} = ST_{lam*eta_k}(w_k + eta_k*A^T alpha_k) and eta doubles
+(up to a cap).  The inner solve stops on primal progress, by the rule that
 Tomioka, Suzuki & Sugiyama analyse (JMLR 12, 2011):
 
     ||grad g(alpha)|| <= ||w_{k+1}(alpha) - w_k|| / sqrt(eta_k),
 
 where w_{k+1}(alpha) is the update the current alpha would make, or once the
 gradient norm reaches the floor eps_k (1e-4*sqrt(m), halved every outer
-iteration by default), whichever comes first.  Early on the multiplier moves
+iteration), whichever comes first.  Early on the multiplier moves
 far and a rough inner solve suffices; near the optimum the move vanishes and
 eps_k takes over.  Every iterate w_k is exactly sparse, and only the "active"
 columns of A (those with |q_j| > lam for q = A^T alpha + w/eta) enter the
@@ -47,8 +47,8 @@ on |q_j| plus that radius exceeds lam.  When they are few enough to gather,
 one blocked pass over them forms both ``a_j^T alpha`` and ``a_j^T d``;
 every other column stays at or below lam at every trial point, adds nothing
 to the trial objectives, and only has its bound grown by ``t*||a_j||*||d||``.
-Otherwise the search makes one full product for ``A^T d``, plus one for the
-entries earlier steps left stale when those are too many to gather.  The
+Otherwise the search makes one full product for ``A^T d``, plus one for
+``A^T alpha`` when earlier steps left any entry stale.  The
 column norms are computed once per solve.  The multiplier update reads the
 carried vector, and ``A w`` is formed from the nonzero columns of the sparse
 iterate.  :func:`solve` takes one fresh ``A^T alpha`` after every inner solve
@@ -80,6 +80,7 @@ systems.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 import time
@@ -126,32 +127,40 @@ class OpCounters(threading.local):
 counters = OpCounters()
 
 
-# The inner solve's gradient-norm floor starts at _EPS_INITIAL_SCALE*sqrt(m)
-# and never falls below _EPS_FLOOR; eta never exceeds _ETA_CAP; one PCG solve
-# takes at most _PCG_MAX_ITERS iterations; a line search gives up below _MIN_STEP.
+# Per outer iteration the inner solve's gradient-norm floor, from
+# _EPS_INITIAL_SCALE*sqrt(m), shrinks by _EPS_SHRINK down to _EPS_FLOOR, and
+# eta grows by _ETA_GROWTH up to _ETA_CAP; one PCG solve takes at most
+# _PCG_MAX_ITERS iterations; a line search gives up below _MIN_STEP.
 _EPS_INITIAL_SCALE = 1e-4
+_EPS_SHRINK = 0.5
 _EPS_FLOOR = 1e-12
+_ETA_GROWTH = 2.0
 _ETA_CAP = 1e12
 _PCG_MAX_ITERS = 500
 _MIN_STEP = 1e-16
 
 
+def _check_cap(name: str, cap) -> None:
+    """Reject an iteration cap that is not an integer (numpy's too) of at least 1."""
+    if not isinstance(cap, numbers.Integral) or cap < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {cap!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Schedules, tolerances and caps for :func:`solve`: seven fields.
+    """Start, tolerances and caps for :func:`solve`: five fields.
 
     ``eta_initial=None`` means ``1/lam``; either is capped at ``_ETA_CAP``
-    (:func:`_starting_eta`) and grows by ``eta_growth`` per outer iteration.
+    (:func:`_starting_eta`) and doubles per outer iteration (``_ETA_GROWTH``).
     The inner solve stops on primal progress (see the module docstring) or
     at the gradient-norm floor eps_k, which starts at ``1e-4*sqrt(m)`` and
-    shrinks by ``eps_shrink`` per outer iteration; ``max_inner_newton`` caps
-    its Newton steps.  The class constants ``ls_shrink`` and
+    halves per outer iteration (``_EPS_SHRINK``); ``max_inner_newton`` caps
+    its Newton steps.  ``max_outer`` and ``max_inner_newton`` are integers of
+    at least 1.  The class constants ``ls_shrink`` and
     ``ls_sufficient_decrease``, not fields, set its backtracking line search.
     """
 
     eta_initial: float | None = None
-    eta_growth: float = 2.0
-    eps_shrink: float = 0.5
     outer_tolerance: float = 1e-3
     max_outer: int = 100
     max_inner_newton: int = 100
@@ -162,14 +171,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.eta_initial is not None and not self.eta_initial > 0:
             raise ValueError("eta_initial must be positive")
-        if not self.eta_growth > 1:
-            raise ValueError("eta_growth must exceed 1")
-        if not 0 < self.eps_shrink < 1:
-            raise ValueError("eps_shrink must lie in (0, 1)")
         if not self.outer_tolerance > 0:
             raise ValueError("outer_tolerance must be positive")
-        if self.max_outer < 1 or self.max_inner_newton < 1:
-            raise ValueError("iteration caps must be at least 1")
+        _check_cap("max_outer", self.max_outer)
+        _check_cap("max_inner_newton", self.max_inner_newton)
         if self.inner_variant not in INNER_VARIANTS:
             raise ValueError(f"inner_variant must be one of {INNER_VARIANTS}")
 
@@ -288,7 +293,6 @@ class InnerWorkspace:
     p: ProblemInstance
     eta: float
     alpha: np.ndarray
-    design_t_alpha: np.ndarray
     q: np.ndarray
     active: np.ndarray
     shrunk: np.ndarray
@@ -376,7 +380,7 @@ def inner_workspace(
     qa = q[active]
     shrunk = qa - p.lam * np.sign(qa)
     cols = p.design[:, active] if _gather_pays(p, active.size) else None
-    return InnerWorkspace(p, eta, alpha, design_t_alpha, q, active, shrunk, cols)
+    return InnerWorkspace(p, eta, alpha, q, active, shrunk, cols)
 
 
 def _objective_from_q(p, eta, alpha, q):
@@ -530,16 +534,12 @@ class _CarriedProduct:
         return cls(norms, shift, dta, np.abs(dta + shift), np.ones(dta.size, bool))
 
     def refresh_stale(self, p, alpha):
-        """Make every entry exact at ``alpha``: gather the stale columns, or
-        take one full product when gathering them does not pay."""
-        stale = np.flatnonzero(~self.exact)
-        if stale.size == 0:
-            return
-        if _gather_pays(p, stale.size):
-            self.design_t_alpha[stale] = _gathered_products(p, stale, alpha)
-        else:
+        """Make every entry exact at ``alpha`` by one full product, if any is
+        stale.  Gathering the stale columns never pays above n = 32: a search
+        that gathers leaves at least ``n - max(16, n/4)`` of them stale."""
+        if not self.exact.all():
             self.design_t_alpha = p.design.T @ alpha
-        self.exact[:] = True
+            self.exact[:] = True
 
     def advance(self, cols, step, design_t_dir, reach):
         """Move to alpha + step*d: exact on ``cols``, where ``design_t_dir``
@@ -608,9 +608,11 @@ def backtracking_line_search(
     decrease of the inner objective.  A non-descent direction falls back to
     steepest descent so decrease is always achievable.
     """
-    ws = inner_workspace(p, w, eta, alpha)
+    alpha = np.asarray(alpha, dtype=float)
+    design_t_alpha = p.design.T @ alpha
+    ws = inner_workspace(p, w, eta, alpha, design_t_alpha)
     carried = _CarriedProduct.start(
-        _column_norms(p.design), np.asarray(w, dtype=float) / eta, ws.design_t_alpha
+        _column_norms(p.design), np.asarray(w, dtype=float) / eta, design_t_alpha
     )
     direction = np.asarray(direction, dtype=float)
     return _line_search(
@@ -667,8 +669,8 @@ def inner_solve(
     then carried exactly only on the columns that can become active, with an
     upper bound on |q_j| for the rest, and each line search reads only the
     columns its step can lift above lam: a gathered pass over them when
-    gathering pays, else one full-design product (two when entries left
-    stale by earlier steps cannot be gathered).
+    gathering pays, else one full-design product (two when earlier steps
+    left entries stale).
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -813,8 +815,8 @@ def solve(
         gap_trace.append(gap)
         if converged:
             break
-        eta = min(eta * config.eta_growth, _ETA_CAP)
-        eps = max(eps * config.eps_shrink, _EPS_FLOOR)
+        eta = min(eta * _ETA_GROWTH, _ETA_CAP)
+        eps = max(eps * _EPS_SHRINK, _EPS_FLOOR)
     wall = time.perf_counter() - start
     return SolveReport(
         w_final=w,

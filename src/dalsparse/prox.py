@@ -117,16 +117,17 @@ def dual_objective(p: ProblemInstance, alpha: np.ndarray) -> float:
     """Evaluate the dual objective -0.5*||alpha - b||^2 + 0.5*||b||^2.
 
     ``alpha`` must be feasible: ``||A^T alpha||_inf <= lam`` up to a relative
-    slack of ``FEASIBILITY_RTOL``.  By weak duality the value never exceeds
-    ``primal_objective(p, w)`` for any ``w``.
+    slack of ``FEASIBILITY_RTOL``; a non-finite ``alpha`` fails this check.
+    By weak duality the value never exceeds ``primal_objective(p, w)`` for
+    any ``w``.
     """
     alpha = np.asarray(alpha, dtype=float).ravel()
     if alpha.shape[0] != p.m:
         raise ValueError(f"alpha has length {alpha.shape[0]}, expected {p.m}")
     corr = np.abs(p.design.T @ alpha).max()
-    if corr > p.lam * (1.0 + FEASIBILITY_RTOL):
+    if not corr <= p.lam * (1.0 + FEASIBILITY_RTOL):
         raise DualInfeasibleError(
-            f"||A^T alpha||_inf = {corr:.6g} exceeds lam = {p.lam:.6g}"
+            f"||A^T alpha||_inf = {corr:.6g} is not within lam = {p.lam:.6g}"
         )
     return _dual_value(p, alpha)
 

@@ -213,6 +213,8 @@ class TestIstConfigValidation:
         with pytest.raises(ValueError):
             IstConfig(step_rule="nesterov")
 
-    def test_bad_clamp_rejected(self):
-        with pytest.raises(ValueError):
-            IstConfig(tau_min=1.0, tau_max=0.5)
+    def test_max_iters_must_be_a_positive_integer(self):
+        for bad in (3.5, 0, "3"):
+            with pytest.raises(ValueError):
+                IstConfig(max_iters=bad)
+        assert IstConfig(max_iters=np.int64(3)).max_iters == 3

@@ -1,6 +1,7 @@
 """Feasible-point construction and relative-gap behavior."""
 
 import numpy as np
+import pytest
 
 from dalsparse import (
     GenSpec,
@@ -82,6 +83,17 @@ def test_gap_soundness_small_gap_implies_near_optimal():
 def test_zero_problem_gap_is_zero_by_floor_rule():
     p = ProblemInstance(design=[[1.0]], observations=[0.0], lam=1.0)
     assert relative_duality_gap(p, [0.0]) == 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nonfinite_w_is_never_certified(value):
+    rng = np.random.default_rng(11)
+    p = random_problem(rng)
+    w = np.zeros(p.n)
+    w[3] = value
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert relative_duality_gap(p, w) == np.inf
+        assert dual_certificate(p, w).relative_gap == np.inf
 
 
 def test_certificate_invariants_random_points():

@@ -248,16 +248,41 @@ class TestFeasibleStart:
         assert np.array_equal(alpha, p.observations)
 
 
-class TestSolverConfigValidation:
-    def test_growth_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            SolverConfig(eta_growth=1.0)
+class TestSchedule:
+    """Each outer iteration doubles eta up to 1e12 and halves the inner
+    floor eps down to 1e-12, from eps_1 = 1e-4*sqrt(m); both are exact in
+    binary, so the first-pass inner solves see exactly these values."""
 
-    def test_eps_shrink_in_unit_interval(self):
-        with pytest.raises(ValueError):
-            SolverConfig(eps_shrink=1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(eps_shrink=0.0)
+    def test_eta_doubles_and_eps_halves_to_their_caps(self, monkeypatch):
+        p = generate(GenSpec(family="normal", m=16, seed=1)).problem
+        real_inner_solve = dal.inner_solve
+        first_passes = []
+
+        def inner_solve(*args):
+            if args[7] == 1.0:
+                first_passes.append((args[2], args[3]))
+            return real_inner_solve(*args)
+
+        monkeypatch.setattr(dal, "inner_solve", inner_solve)
+        report = solve(p, SolverConfig(outer_tolerance=1e-300, max_outer=40))
+        assert report.outer_iters == len(first_passes) == 40
+        eta, eps = first_passes[0]
+        assert eta == 1.0 / p.lam
+        assert eps == 1e-4 * np.sqrt(p.m)
+        for eta_next, eps_next in first_passes[1:]:
+            assert eta_next == min(2.0 * eta, 1e12)
+            assert eps_next == max(eps / 2.0, 1e-12)
+            eta, eps = eta_next, eps_next
+        assert eta == 1e12 and eps == 1e-12
+
+
+class TestSolverConfigValidation:
+    @pytest.mark.parametrize("field", ["max_outer", "max_inner_newton"])
+    def test_caps_must_be_positive_integers(self, field):
+        for bad in (2.5, 1.5, 0, -1, "3"):
+            with pytest.raises(ValueError):
+                SolverConfig(**{field: bad})
+        assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):

@@ -142,6 +142,15 @@ class TestDualObjective:
         with pytest.raises(DualInfeasibleError):
             dual_objective(tiny_1d(), [2.0])  # ||A^T alpha||_inf = 4 > 1
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_alpha_rejected(self, value):
+        p = ProblemInstance(design=[[2.0, 0.0], [0.0, 0.0]],
+                            observations=[3.0, 1.0], lam=1.0)
+        for alpha in ([value, 0.0], [0.0, value]):
+            with np.errstate(invalid="ignore", over="ignore"):
+                with pytest.raises(DualInfeasibleError):
+                    dual_objective(p, alpha)
+
     def test_weak_duality_random_pairs(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
