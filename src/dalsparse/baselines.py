@@ -64,10 +64,10 @@ class IstConfig:
         if self.step_rule not in STEP_RULES:
             raise ValueError(f"step_rule must be one of {STEP_RULES}")
         if self.step_rule == "constant":
-            if self.tau is None or not self.tau > 0:
-                raise ValueError("constant step rule requires a positive tau")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+            if self.tau is None or not 0 < self.tau < math.inf:
+                raise ValueError("constant step rule requires a finite, positive tau")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
         _check_cap("max_iters", self.max_iters)
 
 

@@ -48,12 +48,12 @@ one blocked pass over them forms both ``a_j^T alpha`` and ``a_j^T d``;
 every other column stays at or below lam at every trial point, adds nothing
 to the trial objectives, and only has its bound grown by ``t*||a_j||*||d||``.
 Otherwise the search makes one full product for ``A^T d``, plus one for
-``A^T alpha`` when earlier steps left any entry stale.  The
-column norms are computed once per solve.  The multiplier update reads the
-carried vector, and ``A w`` is formed from the nonzero columns of the sparse
-iterate.  :func:`solve` takes one fresh ``A^T alpha`` after every inner solve
-(and after every descent retry), which is the only full refresh and bounds
-the rounding drift of the carried vector.
+``A^T alpha`` when earlier steps left any entry stale.  The column norms are
+computed once per problem (``ProblemInstance._column_norms``).  The
+multiplier update reads the carried vector, and ``A w`` is formed from the
+nonzero columns of the sparse iterate.  :func:`solve` takes one fresh
+``A^T alpha`` after every inner solve (and after every descent retry), which
+is the only full refresh and bounds the rounding drift of the carried vector.
 
 The same fresh ``A^T alpha`` certifies the iterate cheaply: scaled into the
 dual feasible set, alpha gives a duality gap in O(m + n).  Only when that gap
@@ -81,10 +81,8 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -171,8 +169,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.eta_initial is not None and not self.eta_initial > 0:
             raise ValueError("eta_initial must be positive")
-        if not self.outer_tolerance > 0:
-            raise ValueError("outer_tolerance must be positive")
+        if not 0 < self.outer_tolerance < math.inf:
+            raise ValueError("outer_tolerance must be finite and positive")
         _check_cap("max_outer", self.max_outer)
         _check_cap("max_inner_newton", self.max_inner_newton)
         if self.inner_variant not in INNER_VARIANTS:
@@ -215,8 +213,7 @@ class SolveReport:
 # genuinely sparse (a quarter of the columns) or the copy itself gets large.
 _GATHER_MAX_FRACTION = 0.25
 _GATHER_MAX_ELEMENTS = 2**25
-# Passes over a column subset or over the whole design (the line search's
-# gathered products, the column norms) work in blocks of this many elements,
+# The line search's gathered products work in blocks of this many elements,
 # 4 MiB of float64: 512 columns at m=1024.
 _BLOCK_ELEMENTS = 2**19
 
@@ -234,47 +231,13 @@ def _gather_pays(p, k):
     )
 
 
-def _block_columns(m):
-    """Columns per block of a blocked pass over an m-row design."""
-    return max(1, _BLOCK_ELEMENTS // m)
-
-
 def _gathered_products(p, columns, vectors):
     """``A[:, columns]^T @ vectors``, gathering the columns block by block."""
     out = np.empty((columns.size,) + vectors.shape[1:])
-    step = _block_columns(p.m)
+    step = max(1, _BLOCK_ELEMENTS // p.m)
     for lo in range(0, columns.size, step):
         out[lo : lo + step] = p.design[:, columns[lo : lo + step]].T @ vectors
     return out
-
-
-def _column_norms(design):
-    """||a_j|| for every column of ``design``, in blocks split across threads.
-
-    Each block's squared norms are a stack of 1 x m by m x 1 products, which
-    numpy runs through BLAS dot outside the GIL, so a large design is read
-    about as fast as by one threaded full product.  A design of one block
-    is read on the calling thread.
-    """
-    rows = np.asarray(design).T
-    n, m = rows.shape
-    sq = np.empty(n)
-    step = _block_columns(m)
-    starts = range(0, n, step)
-    workers = min(os.cpu_count() or 1, len(starts))
-
-    def run(first):
-        for lo in starts[first::workers]:
-            block = rows[lo : lo + step]
-            out = sq[lo : lo + step, None, None]
-            np.matmul(block[:, None, :], block[:, :, None], out=out)
-
-    if workers == 1:
-        run(0)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, range(workers)))
-    return np.sqrt(sq, out=sq)
 
 
 @dataclass(frozen=True)
@@ -612,7 +575,7 @@ def backtracking_line_search(
     design_t_alpha = p.design.T @ alpha
     ws = inner_workspace(p, w, eta, alpha, design_t_alpha)
     carried = _CarriedProduct.start(
-        _column_norms(p.design), np.asarray(w, dtype=float) / eta, design_t_alpha
+        p._column_norms, np.asarray(w, dtype=float) / eta, design_t_alpha
     )
     direction = np.asarray(direction, dtype=float)
     return _line_search(
@@ -650,7 +613,6 @@ def inner_solve(
     config: SolverConfig,
     design_t_alpha: np.ndarray | None = None,
     progress_factor: float | None = None,
-    column_norms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Newton-iterate the inner problem from ``alpha_start`` until the gradient
     norm falls to ``eps`` or the iteration cap is reached.
@@ -664,13 +626,12 @@ def inner_solve(
 
     Returns the final alpha, the Newton steps taken, and total CG iterations
     (zero for the Cholesky variant).  ``design_t_alpha`` (= ``A^T
-    alpha_start``) and ``column_norms`` (the norms of the design's columns)
-    may be supplied to reuse what a solver loop computed.  ``A^T alpha`` is
-    then carried exactly only on the columns that can become active, with an
-    upper bound on |q_j| for the rest, and each line search reads only the
-    columns its step can lift above lam: a gathered pass over them when
-    gathering pays, else one full-design product (two when earlier steps
-    left entries stale).
+    alpha_start``) may be supplied to reuse a product a solver loop computed.
+    ``A^T alpha`` is then carried exactly only on the columns that can become
+    active, with an upper bound on |q_j| for the rest, and each line search
+    reads only the columns its step can lift above lam (by the cached column
+    norms): a gathered pass over them when gathering pays, else one
+    full-design product (two when earlier steps left entries stale).
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -678,9 +639,7 @@ def inner_solve(
     alpha = np.array(alpha_start, dtype=float)
     if design_t_alpha is None:
         design_t_alpha = p.design.T @ alpha
-    if column_norms is None:
-        column_norms = _column_norms(p.design)
-    carried = _CarriedProduct.start(column_norms, w / eta, design_t_alpha)
+    carried = _CarriedProduct.start(p._column_norms, w / eta, design_t_alpha)
     newton_iters = 0
     pcg_iters = 0
     for _ in range(config.max_inner_newton):
@@ -766,14 +725,12 @@ def solve(
     scale = _feasible_scale(p, design_t_alpha)
     alpha = scale * p.observations
     design_t_alpha *= scale
-    column_norms = _column_norms(p.design)
     for k in range(1, config.max_outer + 1):
         retry = 1.0
         while True:
             eps_inner = max(retry * eps, _EPS_FLOOR)
             alpha, n_newton, n_pcg = inner_solve(
-                p, w, eta, eps_inner, alpha, config, design_t_alpha, retry,
-                column_norms,
+                p, w, eta, eps_inner, alpha, config, design_t_alpha, retry
             )
             newton_total += n_newton
             pcg_total += n_pcg

@@ -58,8 +58,8 @@ class LambdaRule:
     def __post_init__(self):
         if self.kind not in ("fixed", "inv-sqrt-n"):
             raise ValueError(f"unknown lambda rule kind {self.kind!r}")
-        if not self.value > 0:
-            raise ValueError("lambda rule value must be positive")
+        if not 0 < self.value < math.inf:
+            raise ValueError("lambda rule value must be finite and positive")
 
     def resolve(self, n: int) -> float:
         if self.kind == "fixed":

