@@ -12,7 +12,6 @@ from dalsparse import (
     GenSpec,
     IstConfig,
     SolverConfig,
-    estimate_spectral_norm_sq,
     generate,
     ist_solve,
     solve,
@@ -23,9 +22,8 @@ for family in ("normal", "poor"):
     rows = []
     for seed in range(1, 6):
         p = generate(GenSpec(family=family, m=128, seed=seed)).problem
-        tau = 1.0 / estimate_spectral_norm_sq(p.design)
-        ist = ist_solve(p, IstConfig(step_rule="constant", tau=tau,
-                                     tolerance=1e-3, max_iters=200000))
+        ist = ist_solve(p, IstConfig(step_rule="constant", tolerance=1e-3,
+                                     max_iters=200000))
         bb = ist_solve(p, IstConfig(step_rule="bb", tolerance=1e-3,
                                     max_iters=200000))
         dal = solve(p, SolverConfig(outer_tolerance=1e-3, inner_variant="pcg"))

@@ -4,9 +4,9 @@ One step of the proximal-gradient map is
 
     w <- ST_{lam*tau}(w - tau * A^T (A w - b)),
 
-iterated with either a fixed step ``tau`` (valid below 2/L for
-L = ||A||_2^2, checked against a power-iteration estimate) or the
-Barzilai-Borwein spectral step.  The spectral step is clamped to
+iterated with either the constant step ``tau = 1/L`` for L = ||A||_2^2, taken
+from a power-iteration estimate, or the Barzilai-Borwein spectral step
+started at the same ``1/L``.  The spectral step is clamped to
 [TAU_MIN, TAU_MAX] and safeguarded by the non-monotone acceptance test of
 SpaRSA (Wright, Nowak & Figueiredo, IEEE TSP 2009): a trial point is accepted
 only if its objective lies below the largest of the last ``NONMONOTONE_MEMORY``
@@ -45,27 +45,22 @@ TAU_MAX = 1e8
 
 @dataclass(frozen=True)
 class IstConfig:
-    """Step rule and termination settings for :func:`ist_solve`: four fields.
+    """Step rule and termination settings for :func:`ist_solve`: three fields.
 
-    ``tau`` is required for the constant rule and validated against the
-    spectral bound at solve setup; the BB rule ignores it, clamps its
-    spectral estimates to [TAU_MIN, TAU_MAX] and halves a step that fails the
+    The constant rule steps at ``1/L``; the BB rule clamps its spectral
+    estimates to [TAU_MIN, TAU_MAX] and halves a step that fails the
     non-monotone acceptance test, never below TAU_MIN.  ``tolerance``
     defaults to DAL's ``SolverConfig.outer_tolerance``: both families stop at
     the same relative duality gap.  ``max_iters`` is an integer of at least 1.
     """
 
     step_rule: str = "bb"
-    tau: float | None = None
     tolerance: float = SolverConfig.outer_tolerance
     max_iters: int = 50000
 
     def __post_init__(self):
         if self.step_rule not in STEP_RULES:
             raise ValueError(f"step_rule must be one of {STEP_RULES}")
-        if self.step_rule == "constant":
-            if self.tau is None or not 0 < self.tau < math.inf:
-                raise ValueError("constant step rule requires a finite, positive tau")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be finite and positive")
         _check_cap("max_iters", self.max_iters)
@@ -98,8 +93,8 @@ def estimate_spectral_norm_sq(design: np.ndarray) -> float:
 
 def ist_step(p: ProblemInstance, w: np.ndarray, tau: float) -> np.ndarray:
     """One proximal-gradient step ST_{lam*tau}(w - tau*A^T(A w - b))."""
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau}")
     w = np.asarray(w, dtype=float)
     grad = p.design.T @ (p.design @ w - p.observations)
     return soft_threshold(w - tau * grad, p.lam * tau)
@@ -130,7 +125,6 @@ def ist_solve(
     p: ProblemInstance,
     config: IstConfig | None = None,
     w_initial: np.ndarray | None = None,
-    lipschitz: float | None = None,
 ) -> SolveReport:
     """Iterate :func:`ist_step` until the relative duality gap meets tolerance.
 
@@ -145,25 +139,17 @@ def ist_solve(
     accepted iterate.  Reports in the same shape as the main solver;
     ``inner_newton_iters`` and ``pcg_iters_total`` stay zero.
 
-    ``lipschitz`` (= :func:`estimate_spectral_norm_sq` of the design) may be
-    supplied to reuse an estimate a caller already made.  ``wall_time_seconds``
-    includes the estimate when the solve makes it itself.
+    Each solve makes one :func:`estimate_spectral_norm_sq` of the design,
+    counted in ``wall_time_seconds``, and starts at ``tau = 1/L`` (1 when the
+    estimate is 0); only the BB rule clamps it.
     """
     if config is None:
         config = IstConfig()
     start = time.perf_counter()
     w = _starting_point(p, w_initial)
-    if lipschitz is None:
-        lipschitz = estimate_spectral_norm_sq(p.design)
-    if config.step_rule == "constant":
-        if lipschitz > 0.0 and not config.tau < 2.0 / lipschitz:
-            raise ValueError(
-                f"constant tau = {config.tau:g} violates the convergence bound "
-                f"2/L = {2.0 / lipschitz:g}"
-            )
-        tau = config.tau
-    else:
-        tau = 1.0 / lipschitz if lipschitz > 0.0 else 1.0
+    lipschitz = estimate_spectral_norm_sq(p.design)
+    tau = 1.0 / lipschitz if lipschitz > 0.0 else 1.0
+    if config.step_rule == "bb":
         tau = min(max(tau, TAU_MIN), TAU_MAX)
 
     residual = p.design @ w - p.observations

@@ -54,13 +54,15 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import dal, probgen
-from .baselines import IstConfig, estimate_spectral_norm_sq, ist_solve
+from .baselines import IstConfig, ist_solve
 from .dal import LineSearchError, NumericError, SolveReport, SolverConfig, solve
 from .probgen import DalpFormatError, GenSpec, LambdaRule
 
 # Each DAL solver id and the SolverConfig.inner_variant it runs.
 _DAL_VARIANTS = {"dal-chol": "cholesky", "dal-cg": "pcg"}
-SOLVER_IDS = (*_DAL_VARIANTS, "ist", "ist-bb")
+# Each IST solver id and the IstConfig.step_rule it runs.
+_IST_RULES = {"ist": "constant", "ist-bb": "bb"}
+SOLVER_IDS = (*_DAL_VARIANTS, *_IST_RULES)
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -133,14 +135,9 @@ def run_solver(
             inner_variant=_DAL_VARIANTS[solver],
         )
         return solve(problem, config, w_initial), eta
-    if solver == "ist":
-        lipschitz = estimate_spectral_norm_sq(problem.design)
-        tau = 1.0 / lipschitz if lipschitz > 0 else 1.0
-        config = IstConfig(step_rule="constant", tau=tau, tolerance=tol,
+    if solver in _IST_RULES:
+        config = IstConfig(step_rule=_IST_RULES[solver], tolerance=tol,
                            max_iters=max_ist_iters)
-        return ist_solve(problem, config, w_initial, lipschitz), None
-    if solver == "ist-bb":
-        config = IstConfig(step_rule="bb", tolerance=tol, max_iters=max_ist_iters)
         return ist_solve(problem, config, w_initial), None
     raise ValueError(f"unknown solver {solver!r}")
 

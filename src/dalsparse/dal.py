@@ -84,7 +84,6 @@ import numbers
 import threading
 import time
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -128,13 +127,17 @@ counters = OpCounters()
 # Per outer iteration the inner solve's gradient-norm floor, from
 # _EPS_INITIAL_SCALE*sqrt(m), shrinks by _EPS_SHRINK down to _EPS_FLOOR, and
 # eta grows by _ETA_GROWTH up to _ETA_CAP; one PCG solve takes at most
-# _PCG_MAX_ITERS iterations; a line search gives up below _MIN_STEP.
+# _PCG_MAX_ITERS iterations; a line search shrinks its step by _LS_SHRINK
+# until the Armijo test with factor _LS_SUFFICIENT_DECREASE holds, and gives
+# up below _MIN_STEP.
 _EPS_INITIAL_SCALE = 1e-4
 _EPS_SHRINK = 0.5
 _EPS_FLOOR = 1e-12
 _ETA_GROWTH = 2.0
 _ETA_CAP = 1e12
 _PCG_MAX_ITERS = 500
+_LS_SHRINK = 0.5
+_LS_SUFFICIENT_DECREASE = 1e-4
 _MIN_STEP = 1e-16
 
 
@@ -154,8 +157,7 @@ class SolverConfig:
     at the gradient-norm floor eps_k, which starts at ``1e-4*sqrt(m)`` and
     halves per outer iteration (``_EPS_SHRINK``); ``max_inner_newton`` caps
     its Newton steps.  ``max_outer`` and ``max_inner_newton`` are integers of
-    at least 1.  The class constants ``ls_shrink`` and
-    ``ls_sufficient_decrease``, not fields, set its backtracking line search.
+    at least 1.
     """
 
     eta_initial: float | None = None
@@ -163,8 +165,6 @@ class SolverConfig:
     max_outer: int = 100
     max_inner_newton: int = 100
     inner_variant: str = "cholesky"
-    ls_shrink: ClassVar[float] = 0.5
-    ls_sufficient_decrease: ClassVar[float] = 1e-4
 
     def __post_init__(self):
         if self.eta_initial is not None and not self.eta_initial > 0:
@@ -333,8 +333,8 @@ def inner_workspace(
     ``design_t_alpha`` (= ``A^T alpha``) may be supplied to reuse a
     matrix-vector product computed by a solver loop.
     """
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     alpha = np.asarray(alpha, dtype=float)
     if design_t_alpha is None:
         design_t_alpha = p.design.T @ alpha
@@ -514,7 +514,7 @@ class _CarriedProduct:
         self.exact[cols] = True
 
 
-def _line_search(ws, direction, grad, shrink, sufficient_decrease, carried):
+def _line_search(ws, direction, grad, carried):
     """Armijo search from ws.alpha; returns the accepted alpha and step, and
     advances ``carried`` to the accepted alpha.
 
@@ -547,10 +547,10 @@ def _line_search(ws, direction, grad, shrink, sufficient_decrease, carried):
     while step >= _MIN_STEP:
         alpha_trial = alpha + step * direction
         g_trial = _objective_from_q(p, eta, alpha_trial, q + step * design_t_dir)
-        if g_trial <= g0 + sufficient_decrease * step * slope:
+        if g_trial <= g0 + _LS_SUFFICIENT_DECREASE * step * slope:
             carried.advance(cols, step, design_t_dir, reach)
             return alpha_trial, step
-        step *= shrink
+        step *= _LS_SHRINK
     raise LineSearchError(
         f"step underflow below {_MIN_STEP:g}; gradient/objective inconsistency"
     )
@@ -562,14 +562,12 @@ def backtracking_line_search(
     eta: float,
     alpha: np.ndarray,
     direction: np.ndarray,
-    shrink: float = SolverConfig.ls_shrink,
-    sufficient_decrease: float = SolverConfig.ls_sufficient_decrease,
 ) -> tuple[np.ndarray, float]:
     """Armijo backtracking from unit step along ``direction``.
 
-    Accepts the largest step in {1, shrink, shrink^2, ...} with sufficient
-    decrease of the inner objective.  A non-descent direction falls back to
-    steepest descent so decrease is always achievable.
+    Accepts the largest step in {1, s, s^2, ...} (s = ``_LS_SHRINK``) with
+    sufficient decrease of the inner objective.  A non-descent direction
+    falls back to steepest descent so decrease is always achievable.
     """
     alpha = np.asarray(alpha, dtype=float)
     design_t_alpha = p.design.T @ alpha
@@ -578,9 +576,7 @@ def backtracking_line_search(
         p._column_norms, np.asarray(w, dtype=float) / eta, design_t_alpha
     )
     direction = np.asarray(direction, dtype=float)
-    return _line_search(
-        ws, direction, _gradient(ws), shrink, sufficient_decrease, carried
-    )
+    return _line_search(ws, direction, _gradient(ws), carried)
 
 
 def _multiplier_step(ws, w):
@@ -654,10 +650,7 @@ def inner_solve(
             forcing = min(0.1, math.sqrt(gnorm))
             direction, used = _newton_pcg(ws, grad, forcing, _PCG_MAX_ITERS)
             pcg_iters += used
-        alpha, _ = _line_search(
-            ws, direction, grad, config.ls_shrink, config.ls_sufficient_decrease,
-            carried,
-        )
+        alpha, _ = _line_search(ws, direction, grad, carried)
         newton_iters += 1
     return alpha, newton_iters, pcg_iters
 
@@ -674,8 +667,8 @@ def outer_update(
     ``design_t_alpha`` (= ``A^T alpha``) may be supplied to reuse a
     matrix-vector product computed by a solver loop.
     """
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     w = np.asarray(w, dtype=float)
     if design_t_alpha is None:
         design_t_alpha = p.design.T @ np.asarray(alpha, dtype=float)

@@ -78,12 +78,17 @@ class ProblemInstance:
 
 
 def _starting_point(p: ProblemInstance, w_initial: np.ndarray | None) -> np.ndarray:
-    """A solver's own copy of ``w_initial`` as a flat float vector; zeros if None."""
+    """A solver's own copy of ``w_initial`` as a flat float vector; zeros if None.
+
+    Rejects a wrong length or a NaN or infinite entry.
+    """
     if w_initial is None:
         return np.zeros(p.n)
     w = np.array(w_initial, dtype=float).ravel()
     if w.shape[0] != p.n:
         raise ValueError(f"w_initial has length {w.shape[0]}, expected {p.n}")
+    if not np.isfinite(w).all():
+        raise ValueError("w_initial has a NaN or infinite entry")
     return w
 
 
@@ -93,7 +98,7 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     This is the proximal operator of ``t * ||.||_1``.  Components with
     ``|v_j| <= t`` (boundary included) map to exact zeros.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"threshold must be nonnegative, got {t}")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
@@ -105,7 +110,7 @@ def project_linf(v: np.ndarray, r: float) -> np.ndarray:
     Complementary to :func:`soft_threshold`:
     ``soft_threshold(v, r) + project_linf(v, r) == v`` exactly.
     """
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     v = np.asarray(v, dtype=float)
     return np.clip(v, -r, r)

@@ -77,6 +77,12 @@ class TestIstStep:
         with pytest.raises(ValueError):
             ist_step(p, [0.0], 0.0)
 
+    @pytest.mark.parametrize("tau", [np.inf, np.nan])
+    def test_rejects_nonfinite_tau(self, tau):
+        p = ProblemInstance(design=[[1.0]], observations=[1.0], lam=1.0)
+        with pytest.raises(ValueError, match="tau"):
+            ist_step(p, [0.0], tau)
+
 
 class TestBBStep:
     def test_recovers_curvature_of_scaled_identity(self):
@@ -124,8 +130,7 @@ class TestIstSolve:
         p = gaussian_problem(rng, m=64, n=256)
         dal = solve(p, SolverConfig(outer_tolerance=1e-6))
         for rule in ("constant", "bb"):
-            tau = 1.0 / estimate_spectral_norm_sq(p.design) if rule == "constant" else None
-            cfg = IstConfig(step_rule=rule, tau=tau, tolerance=1e-6, max_iters=100000)
+            cfg = IstConfig(step_rule=rule, tolerance=1e-6, max_iters=100000)
             report = ist_solve(p, cfg)
             assert report.converged
             assert abs(report.primal_value - dal.primal_value) <= 1e-4 * dal.primal_value
@@ -147,8 +152,7 @@ class TestIstSolve:
         # in the majorization regime tau <= 1/L every step is a descent step
         rng = np.random.default_rng(38)
         p = gaussian_problem(rng, m=16, n=64)
-        tau = 0.9 / estimate_spectral_norm_sq(p.design)
-        cfg = IstConfig(step_rule="constant", tau=tau, tolerance=1e-6, max_iters=20000)
+        cfg = IstConfig(step_rule="constant", tolerance=1e-6, max_iters=20000)
         report = ist_solve(p, cfg)
         trace = np.asarray(report.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12)
@@ -156,8 +160,7 @@ class TestIstSolve:
     def test_bb_meets_tolerance_where_constant_does(self):
         rng = np.random.default_rng(39)
         p = gaussian_problem(rng, m=16, n=64)
-        tau = 1.0 / estimate_spectral_norm_sq(p.design)
-        const = ist_solve(p, IstConfig(step_rule="constant", tau=tau,
+        const = ist_solve(p, IstConfig(step_rule="constant",
                                        tolerance=1e-5, max_iters=100000))
         bb = ist_solve(p, IstConfig(step_rule="bb", tolerance=1e-5, max_iters=100000))
         assert const.converged and bb.converged
@@ -171,12 +174,12 @@ class TestIstSolve:
         assert not report.converged
         assert report.outer_iters == 3
 
-    def test_constant_tau_validated_against_spectral_bound(self):
-        rng = np.random.default_rng(41)
-        p = gaussian_problem(rng)
-        lipschitz = estimate_spectral_norm_sq(p.design)
-        with pytest.raises(ValueError):
-            ist_solve(p, IstConfig(step_rule="constant", tau=2.5 / lipschitz))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rule", ["constant", "bb"])
+    def test_nonfinite_initial_rejected(self, rule, value):
+        p = ProblemInstance(design=np.eye(2), observations=[1.0, 2.0], lam=0.5)
+        with pytest.raises(ValueError, match="w_initial"):
+            ist_solve(p, IstConfig(step_rule=rule), w_initial=[0.0, value])
 
     def test_final_value_not_below_optimum(self):
         rng = np.random.default_rng(42)
@@ -205,15 +208,6 @@ class TestBBNonmonotoneSafeguard:
 
 
 class TestIstConfigValidation:
-    def test_constant_requires_tau(self):
-        with pytest.raises(ValueError):
-            IstConfig(step_rule="constant")
-
-    @pytest.mark.parametrize("tau", [0.0, -1.0, np.inf, np.nan])
-    def test_constant_tau_must_be_finite_and_positive(self, tau):
-        with pytest.raises(ValueError, match="tau"):
-            IstConfig(step_rule="constant", tau=tau)
-
     @pytest.mark.parametrize("tol", [0.0, -1e-3, np.inf, np.nan])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="tolerance"):

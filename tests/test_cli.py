@@ -603,10 +603,11 @@ class TestRecordShape:
 
 
 class TestIstSpectralEstimate:
-    """``run_solver("ist", ...)`` runs the power iteration once and hands the
-    estimate to ``ist_solve``."""
+    """``ist_solve`` owns IST's step: it runs the power iteration once per
+    solve, and ``run_solver`` only picks the step rule."""
 
-    def test_one_estimate_per_solve(self, monkeypatch):
+    @pytest.fixture()
+    def calls(self, monkeypatch):
         estimate = baselines.estimate_spectral_norm_sq
         calls = []
 
@@ -614,18 +615,40 @@ class TestIstSpectralEstimate:
             calls.append(design.shape)
             return estimate(design, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "estimate_spectral_norm_sq", counted)
         monkeypatch.setattr(baselines, "estimate_spectral_norm_sq", counted)
+        return calls
+
+    def test_one_estimate_per_solve(self, calls):
         p = probgen.generate(probgen.GenSpec(family="normal", m=32, seed=4)).problem
         report, _ = cli.run_solver("ist", p, 1e-3)
         assert len(calls) == 1
         assert report.converged
         # Same iterates as a solve that makes its own estimate.
-        config = IstConfig(step_rule="constant", tau=1.0 / estimate(p.design),
-                           tolerance=1e-3)
+        config = IstConfig(step_rule="constant", tolerance=1e-3)
         own = ist_solve(p, config)
         np.testing.assert_array_equal(report.w_final, own.w_final)
         assert report.gap_trace == own.gap_trace
+
+    def test_each_ist_solve_makes_one_estimate(self, calls, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        code, _, _ = run_main(
+            ["bench", "--family", "normal", "--sizes", "16", "--seeds", "1..2",
+             "--solvers", "ist,ist-bb,dal-cg", "--workers", "1", "--out", str(out)],
+            capsys)
+        assert code == 0
+        assert len(read_csv(out)) == 1 + 6
+        assert len(calls) == 4
+
+    def test_default_constant_config_gives_run_solver_iterates(self):
+        config = IstConfig(step_rule="constant")
+        p = probgen.generate(probgen.GenSpec(family="poor", m=32, seed=2)).problem
+        w_initial = cli._initial_w(5, p.n)
+        own = ist_solve(p, config, w_initial)
+        report, eta = cli.run_solver("ist", p, config.tolerance, w_initial=w_initial)
+        assert eta is None
+        np.testing.assert_array_equal(report.w_final, own.w_final)
+        assert report.gap_trace == own.gap_trace
+        assert report.outer_iters == own.outer_iters
 
     def test_ones_in_null_space_still_converges(self):
         # A 1 = 0: a power iteration from the all-ones direction reads 0.
@@ -797,8 +820,9 @@ class TestBenchStopsOnError:
 
 
 class TestRecordClock:
-    """A record's ``wall_time_s`` covers the whole ``run_solver`` call,
-    including constant-step ``ist``'s spectral-norm estimate."""
+    """A record's ``wall_time_s`` covers the whole ``run_solver`` call, and
+    constant-step ``ist``'s report and record both include its spectral-norm
+    estimate."""
 
     @pytest.fixture()
     def slow_estimate(self, monkeypatch):
@@ -808,7 +832,12 @@ class TestRecordClock:
             time.sleep(0.05)
             return estimate(design, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "estimate_spectral_norm_sq", slow)
+        monkeypatch.setattr(baselines, "estimate_spectral_norm_sq", slow)
+
+    def test_solve_report_includes_estimate(self, slow_estimate):
+        p = probgen.generate(probgen.GenSpec(family="normal", m=16, seed=1)).problem
+        report, _ = cli.run_solver("ist", p, 1e-3)
+        assert report.wall_time_seconds >= 0.05
 
     def test_solve_record_includes_estimate(self, tmp_path, capsys, slow_estimate):
         problem = tmp_path / "p.dalp"

@@ -37,10 +37,8 @@ def checked(monkeypatch):
     real_workspace = dal.inner_workspace
     record = {"searches": 0, "bounded_out": 0, "workspaces": 0, "w_star": None}
 
-    def line_search(ws, direction, grad, shrink, sufficient_decrease, carried):
-        alpha, step = real_line_search(
-            ws, direction, grad, shrink, sufficient_decrease, carried
-        )
+    def line_search(ws, direction, grad, carried):
+        alpha, step = real_line_search(ws, direction, grad, carried)
         p = ws.p
         q = p.design.T @ alpha + carried.shift
         slack = rounding(p, q)

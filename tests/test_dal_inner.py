@@ -91,6 +91,12 @@ class TestInnerObjective:
         with pytest.raises(ValueError):
             inner_objective(p, [0.0], 0.0, [0.0])
 
+    @pytest.mark.parametrize("eta", [np.inf, np.nan])
+    def test_rejects_nonfinite_eta(self, eta):
+        p = ProblemInstance(design=[[1.0]], observations=[1.0], lam=1.0)
+        with pytest.raises(ValueError, match="eta"):
+            inner_workspace(p, [0.0], eta, [0.0])
+
 
 class TestInnerGradient:
     def test_inactive_q_gives_alpha_minus_b(self):
@@ -425,7 +431,6 @@ class TestInnerSolve:
         eta = 50.0
         alpha = b.copy()
         norms = []
-        cfg = SolverConfig()
         for _ in range(40):
             grad = inner_gradient(p, w, eta, alpha)
             gn = float(np.linalg.norm(grad))
@@ -433,9 +438,7 @@ class TestInnerSolve:
             if gn <= 1e-12:
                 break
             direction = newton_direction_cholesky(p, w, eta, alpha, grad)
-            alpha, _ = backtracking_line_search(
-                p, w, eta, alpha, direction, cfg.ls_shrink, cfg.ls_sufficient_decrease
-            )
+            alpha, _ = backtracking_line_search(p, w, eta, alpha, direction)
         assert norms[-1] <= 1e-12
         tail = [x for x in norms if x < 1.0]
         assert len(tail) >= 3

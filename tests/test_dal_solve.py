@@ -71,6 +71,12 @@ class TestOuterUpdate:
         assert mask.any()
         assert np.all(out[mask] == 0.0)
 
+    @pytest.mark.parametrize("eta", [0.0, np.inf, np.nan])
+    def test_rejects_eta_not_finite_and_positive(self, eta):
+        p = ProblemInstance(design=np.eye(2), observations=[1.0, 2.0], lam=0.5)
+        with pytest.raises(ValueError, match="eta"):
+            outer_update(np.ones(2), np.ones(2), eta, p)
+
 
 class TestSolve:
     def test_lambda_dominated_single_outer_iteration(self):
@@ -192,6 +198,13 @@ class TestSolve:
         p = ProblemInstance(design=np.eye(2), observations=[1.0, 2.0], lam=0.5)
         with pytest.raises(ValueError):
             solve(p, w_initial=np.zeros(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("variant", ["cholesky", "pcg"])
+    def test_nonfinite_initial_rejected(self, variant, value):
+        p = ProblemInstance(design=np.eye(2), observations=[1.0, 2.0], lam=0.5)
+        with pytest.raises(ValueError, match="w_initial"):
+            solve(p, SolverConfig(inner_variant=variant), w_initial=[value, 0.0])
 
     def test_nonfinite_data_raises_numeric_error(self):
         p = ProblemInstance(design=[[np.nan]], observations=[1.0], lam=0.5)

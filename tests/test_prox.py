@@ -59,6 +59,10 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(np.array([1.0]), -1e-12)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold"):
+            soft_threshold(np.array([1.0, -2.0]), np.nan)
+
     def test_oddness(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal(50)
@@ -98,6 +102,10 @@ class TestProjectLinf:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             project_linf(np.array([1.0]), -0.1)
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius"):
+            project_linf(np.array([1.0, -2.0]), np.nan)
 
     def test_decomposition_identity(self):
         # exact up to one rounding of the shrink-then-add round trip
