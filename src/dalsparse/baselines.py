@@ -27,7 +27,7 @@ import numpy as np
 from .certificates import relative_duality_gap
 from .dal import NumericError, SolveReport, SolverConfig, _check_cap
 from .probgen import _rng
-from .prox import ProblemInstance, _primal_value, _starting_point, soft_threshold
+from .prox import ProblemInstance, _primal_value, _residual, _starting_point, soft_threshold
 
 STEP_RULES = ("constant", "bb")
 _POWER_ITERS = 100  # steps of the spectral-norm power iteration
@@ -96,7 +96,7 @@ def ist_step(p: ProblemInstance, w: np.ndarray, tau: float) -> np.ndarray:
     if not 0 < tau < math.inf:
         raise ValueError(f"tau must be finite and positive, got {tau}")
     w = np.asarray(w, dtype=float)
-    grad = p.design.T @ (p.design @ w - p.observations)
+    grad = p.design.T @ _residual(p, w)
     return soft_threshold(w - tau * grad, p.lam * tau)
 
 
@@ -133,10 +133,11 @@ def ist_solve(
     gradient the step computes anyway.  Under the BB rule each iteration
     starts from the spectral step and halves it until the trial point passes
     the non-monotone acceptance test (or the step reaches ``TAU_MIN``, where
-    the trial is taken as is).  A rejected trial costs one ``A w`` product;
-    the gradient is formed only for the accepted point.  ``outer_iters``
-    counts accepted steps, and ``objective_trace`` holds one value per
-    accepted iterate.  Reports in the same shape as the main solver;
+    the trial is taken as is).  A rejected trial costs one ``A w``, over the
+    nonzero columns of a sparse trial (:func:`dalsparse.prox._residual`); the
+    gradient is formed only for the accepted point.  ``outer_iters`` counts
+    accepted steps, and ``objective_trace`` holds one value per accepted
+    iterate.  Reports in the same shape as the main solver;
     ``inner_newton_iters`` and ``pcg_iters_total`` stay zero.
 
     Each solve makes one :func:`estimate_spectral_norm_sq` of the design,
@@ -152,7 +153,7 @@ def ist_solve(
     if config.step_rule == "bb":
         tau = min(max(tau, TAU_MIN), TAU_MAX)
 
-    residual = p.design @ w - p.observations
+    residual = _residual(p, w)
     grad = p.design.T @ residual
     primal = _primal_value(p, w, residual)
     objective_trace: list[float] = []
@@ -180,7 +181,7 @@ def ist_solve(
         reference = max(objective_trace[-NONMONOTONE_MEMORY:])
         while True:
             w = soft_threshold(w_prev - tau * grad_prev, p.lam * tau)
-            residual = p.design @ w - p.observations
+            residual = _residual(p, w)
             primal = _primal_value(p, w, residual)
             if config.step_rule == "constant" or tau <= TAU_MIN:
                 break

@@ -13,12 +13,13 @@ optima, where this choice drives the gap to zero.
 
 Scaling a candidate ``c`` into the feasible set needs only ``A^T c``, and the
 scaled point's own product is then ``s * A^T c``, so no second product is
-needed to check it.  The certificate at ``w`` therefore costs two products
-from ``w`` alone, one when the residual ``A w - b`` is supplied, and none when
-``A^T (A w - b)`` is supplied too.  The DAL solver applies the same scaling
-to its multiplier ``alpha``, whose ``A^T alpha`` it already holds, to get a
-second sound certificate for free, and to ``b`` to start that multiplier
-inside the feasible set (see :func:`dalsparse.dal.solve`).
+needed to check it.  From ``w`` alone a certificate makes one full product,
+``A^T (A w - b)``, and forms ``A w`` from the nonzero columns of a sparse ``w``
+(:func:`dalsparse.prox._residual`); supplied both, it makes none.  The DAL
+solver applies the same scaling to its multiplier ``alpha``, whose
+``A^T alpha`` it already holds, to get a second sound certificate for free, and
+to ``b`` to start that multiplier inside the feasible set (see
+:func:`dalsparse.dal.solve`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import ProblemInstance, _dual_value, _primal_value
+from .prox import ProblemInstance, _dual_value, _primal_value, _residual
 
 # Guards division by f(w) = 0, reachable only for b = 0 where w = 0 is optimal.
 GAP_DENOMINATOR_FLOOR = 1e-30
@@ -96,12 +97,11 @@ def dual_certificate(
     follows from the known ``A^T alpha_hat = -s * A^T residual``, so no product
     re-checks it (:func:`dalsparse.prox.dual_objective` does, for outside
     callers).  ``residual`` (= ``A w - b``) and ``design_t_residual`` (= ``A^T
-    residual``) may be supplied to reuse matrix-vector products computed by a
-    solver loop; with both, the certificate makes no product.
+    residual``) may be supplied to reuse products computed by a solver loop.
     """
     w = np.asarray(w, dtype=float).ravel()
     if residual is None:
-        residual = p.design @ w - p.observations
+        residual = _residual(p, w)
     if design_t_residual is None:
         design_t_residual = p.design.T @ residual
     return _certificate(p, _primal_value(p, w, residual), -residual, design_t_residual)

@@ -51,9 +51,10 @@ Otherwise the search makes one full product for ``A^T d``, plus one for
 ``A^T alpha`` when earlier steps left any entry stale.  The column norms are
 computed once per problem (``ProblemInstance._column_norms``).  The
 multiplier update reads the carried vector, and ``A w`` is formed from the
-nonzero columns of the sparse iterate.  :func:`solve` takes one fresh
-``A^T alpha`` after every inner solve (and after every descent retry), which
-is the only full refresh and bounds the rounding drift of the carried vector.
+nonzero columns of the sparse iterate by :func:`dalsparse.prox._residual`,
+the owner of the gather rule.  :func:`solve` takes one fresh ``A^T alpha``
+after every inner solve (and after every descent retry), which is the only
+full refresh and bounds the rounding drift of the carried vector.
 
 The same fresh ``A^T alpha`` certifies the iterate cheaply: scaled into the
 dual feasible set, alpha gives a duality gap in O(m + n).  Only when that gap
@@ -89,7 +90,10 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .certificates import _certificate, _feasible_scale, relative_duality_gap
-from .prox import ProblemInstance, _primal_value, _starting_point, soft_threshold
+from .prox import (
+    _GATHER_MAX_ELEMENTS, ProblemInstance, _gather_pays, _primal_value, _residual,
+    _starting_point, soft_threshold,
+)
 
 INNER_VARIANTS = ("cholesky", "pcg")
 
@@ -167,8 +171,8 @@ class SolverConfig:
     inner_variant: str = "cholesky"
 
     def __post_init__(self):
-        if self.eta_initial is not None and not self.eta_initial > 0:
-            raise ValueError("eta_initial must be positive")
+        if self.eta_initial is not None and not 0 < self.eta_initial < math.inf:
+            raise ValueError("eta_initial must be finite and positive")
         if not 0 < self.outer_tolerance < math.inf:
             raise ValueError("outer_tolerance must be finite and positive")
         _check_cap("max_outer", self.max_outer)
@@ -209,10 +213,6 @@ class SolveReport:
     gap_trace: list[float]
 
 
-# Gather limits: skip the submatrix copy once the active set stops being
-# genuinely sparse (a quarter of the columns) or the copy itself gets large.
-_GATHER_MAX_FRACTION = 0.25
-_GATHER_MAX_ELEMENTS = 2**25
 # The line search's gathered products work in blocks of this many elements,
 # 4 MiB of float64: 512 columns at m=1024.
 _BLOCK_ELEMENTS = 2**19
@@ -221,14 +221,6 @@ _BLOCK_ELEMENTS = 2**19
 def compute_active_set(q: np.ndarray, lam: float) -> np.ndarray:
     """Indices j with |q_j| strictly above lam; boundary values are inactive."""
     return np.flatnonzero(np.abs(q) > lam)
-
-
-def _gather_pays(p, k):
-    """Whether copying k columns of the design beats masked full products."""
-    return (
-        k <= max(16, int(_GATHER_MAX_FRACTION * p.n))
-        and k * p.m <= _GATHER_MAX_ELEMENTS
-    )
 
 
 def _gathered_products(p, columns, vectors):
@@ -673,14 +665,6 @@ def outer_update(
     if design_t_alpha is None:
         design_t_alpha = p.design.T @ np.asarray(alpha, dtype=float)
     return soft_threshold(w + eta * design_t_alpha, p.lam * eta)
-
-
-def _residual(p, w):
-    """A w - b, formed from the nonzero columns of w while they are few."""
-    nz = np.flatnonzero(w)
-    if _gather_pays(p, nz.size):
-        return p.design[:, nz] @ w[nz] - p.observations
-    return p.design @ w - p.observations
 
 
 def solve(

@@ -28,6 +28,10 @@ class DualInfeasibleError(ValueError):
 # Relative slack accepted on ||A^T alpha||_inf <= lam; certificate
 # construction lands on the boundary only up to rounding.
 FEASIBILITY_RTOL = 1e-9
+# Gather limits: skip the submatrix copy once the active set stops being
+# genuinely sparse (a quarter of the columns) or the copy itself gets large.
+_GATHER_MAX_FRACTION = 0.25
+_GATHER_MAX_ELEMENTS = 2**25
 
 
 @dataclass(frozen=True)
@@ -116,12 +120,26 @@ def project_linf(v: np.ndarray, r: float) -> np.ndarray:
     return np.clip(v, -r, r)
 
 
+def _gather_pays(p: ProblemInstance, k: int) -> bool:
+    """Whether copying k columns of the design beats masked full products."""
+    sparse = k <= max(16, int(_GATHER_MAX_FRACTION * p.n))
+    return sparse and k * p.m <= _GATHER_MAX_ELEMENTS
+
+
+def _residual(p: ProblemInstance, w: np.ndarray) -> np.ndarray:
+    """A w - b for a length-n float ``w``, from its nonzero columns while few."""
+    if w.shape[0] != p.n:
+        raise ValueError(f"w has length {w.shape[0]}, expected {p.n}")
+    nz = np.flatnonzero(w)
+    if _gather_pays(p, nz.size):
+        return p.design[:, nz] @ w[nz] - p.observations
+    return p.design @ w - p.observations
+
+
 def primal_objective(p: ProblemInstance, w: np.ndarray) -> float:
     """Evaluate 0.5*||A w - b||^2 + lam*||w||_1."""
     w = np.asarray(w, dtype=float).ravel()
-    if w.shape[0] != p.n:
-        raise ValueError(f"w has length {w.shape[0]}, expected {p.n}")
-    return _primal_value(p, w, p.design @ w - p.observations)
+    return _primal_value(p, w, _residual(p, w))
 
 
 def _primal_value(p: ProblemInstance, w: np.ndarray, residual: np.ndarray) -> float:

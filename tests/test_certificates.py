@@ -11,6 +11,7 @@ from dalsparse import (
     dual_objective,
     feasible_dual_point,
     generate,
+    ist_step,
     primal_objective,
     relative_duality_gap,
     solve,
@@ -94,6 +95,24 @@ def test_nonfinite_w_is_never_certified(value):
     with np.errstate(invalid="ignore", over="ignore"):
         assert relative_duality_gap(p, w) == np.inf
         assert dual_certificate(p, w).relative_gap == np.inf
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["n-1", "n+1"])
+@pytest.mark.parametrize(
+    "evaluate",
+    [dual_certificate, relative_duality_gap, feasible_dual_point, primal_objective,
+     lambda p, w: ist_step(p, w, 1.0)],
+    ids=["dual_certificate", "relative_duality_gap", "feasible_dual_point",
+         "primal_objective", "ist_step"],
+)
+def test_wrong_length_w_rejected(evaluate, extra):
+    # Three nonzeros: few enough that A w is formed from the gathered columns,
+    # which a w one entry short or long would otherwise index without error.
+    p = random_problem(np.random.default_rng(13), n=40)
+    w = np.zeros(p.n + extra)
+    w[:3] = 1.0
+    with pytest.raises(ValueError, match="w has length"):
+        evaluate(p, w)
 
 
 def test_certificate_invariants_random_points():

@@ -463,7 +463,7 @@ class TestSolveChecksFirst:
 
     @pytest.mark.parametrize("flags", [["--tol", "0"], ["--max-outer", "0"],
                                        ["--w-init", "bogus"],
-                                       ["--w-init", "random:-1"]])
+                                       ["--w-init", "random:-1"], ["--eta1", "inf"]])
     def test_bad_flag_rejected_before_load(self, tmp_path, capsys, monkeypatch,
                                            flags):
         path = tmp_path / "p.dalp"
@@ -742,7 +742,7 @@ class TestBenchSelectionChecks:
 
     @pytest.mark.parametrize("flag, value", [("--max-ist-iters", "0"),
                                              ("--tol", "0"), ("--eta1", "-1"),
-                                             ("--max-outer", "0")])
+                                             ("--eta1", "inf"), ("--max-outer", "0")])
     def test_bad_solver_flag_rejected_first(self, tmp_path, calls, flag, value):
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as exc:

@@ -24,6 +24,7 @@ from dalsparse import (
     generate,
     inner_workspace,
     outer_update,
+    primal_objective,
     solve,
 )
 from dalsparse import dal
@@ -141,6 +142,10 @@ class TestDualCertificateProducts:
         assert cert.dual_value == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+RESIDUAL_FORMS = ["_residual", "primal_objective", "dual_certificate"]
+DENSITIES = [0.0, 0.1, 1.0]
+
+
 @pytest.fixture
 def problem_and_point():
     p = generate(GenSpec(family="normal", m=64, seed=5)).problem
@@ -165,12 +170,35 @@ class TestReuseArguments:
         reused = outer_update(w, alpha, 3.0, p, design_t_alpha=p.design.T @ alpha)
         np.testing.assert_array_equal(plain, reused)
 
-    @pytest.mark.parametrize("density", [0.0, 0.1, 1.0])
-    def test_residual_over_nonzero_columns(self, problem_and_point, density):
+    # The _residual cases are named by density alone.
+    @pytest.mark.parametrize(
+        "form, density",
+        [(f, d) for f in RESIDUAL_FORMS for d in DENSITIES],
+        ids=[str(d) if f == "_residual" else f"{f}-{d}"
+             for f in RESIDUAL_FORMS for d in DENSITIES],
+    )
+    def test_residual_over_nonzero_columns(self, problem_and_point, form, density):
+        """``A w - b``, and the objective and certificate built on it, read only
+        the nonzero columns of a sparse ``w``: no full ``A w`` product."""
         p, _, _ = problem_and_point
         rng = np.random.default_rng(1)
         w = np.where(rng.random(p.n) < density, rng.standard_normal(p.n), 0.0)
         expected = p.design @ w - p.observations
-        np.testing.assert_allclose(
-            _residual(p, w), expected, rtol=0, atol=1e-12 * np.linalg.norm(expected)
-        )
+        counted, counter = counting(p)
+        if form == "_residual":
+            np.testing.assert_allclose(
+                _residual(counted, w), expected, rtol=0,
+                atol=1e-12 * np.linalg.norm(expected),
+            )
+            transposed_products = 0
+        else:
+            f = 0.5 * float(expected @ expected) + p.lam * float(np.abs(w).sum())
+            if form == "primal_objective":
+                value = primal_objective(counted, w)
+                transposed_products = 0
+            else:
+                value = dual_certificate(counted, w).primal_value
+                transposed_products = 1  # A^T (A w - b)
+            assert value == pytest.approx(f, rel=1e-12, abs=0)
+        full_aw_products = 1 if density == 1.0 else 0
+        assert counter[0] == full_aw_products + transposed_products

@@ -304,6 +304,11 @@ class TestSolverConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(eta_initial=-1.0)
 
+    @pytest.mark.parametrize("eta", [np.inf, np.nan])
+    def test_eta_initial_must_be_finite(self, eta):
+        with pytest.raises(ValueError, match="eta_initial must be finite and positive"):
+            SolverConfig(eta_initial=eta)
+
     @pytest.mark.parametrize("tol", [0.0, -1e-3, np.inf, np.nan])
     def test_outer_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="outer_tolerance"):
