@@ -25,9 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import relative_duality_gap
-from .dal import NumericError, SolveReport, SolverConfig, _check_cap
+from .dal import NumericError, SolveReport, SolverConfig
 from .probgen import _rng
-from .prox import ProblemInstance, _primal_value, _residual, _starting_point, soft_threshold
+from .prox import (
+    ProblemInstance, _check_cap, _check_positive, _primal_value, _residual, _starting_point,
+    _vector, soft_threshold,
+)
 
 STEP_RULES = ("constant", "bb")
 _POWER_ITERS = 100  # steps of the spectral-norm power iteration
@@ -61,8 +64,7 @@ class IstConfig:
     def __post_init__(self):
         if self.step_rule not in STEP_RULES:
             raise ValueError(f"step_rule must be one of {STEP_RULES}")
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be finite and positive")
+        _check_positive("tolerance", self.tolerance)
         _check_cap("max_iters", self.max_iters)
 
 
@@ -93,9 +95,8 @@ def estimate_spectral_norm_sq(design: np.ndarray) -> float:
 
 def ist_step(p: ProblemInstance, w: np.ndarray, tau: float) -> np.ndarray:
     """One proximal-gradient step ST_{lam*tau}(w - tau*A^T(A w - b))."""
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be finite and positive, got {tau}")
-    w = np.asarray(w, dtype=float)
+    _check_positive("tau", tau)
+    w = _vector(w, p.n, "w")
     grad = p.design.T @ _residual(p, w)
     return soft_threshold(w - tau * grad, p.lam * tau)
 

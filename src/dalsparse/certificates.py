@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import ProblemInstance, _dual_value, _primal_value, _residual
+from .prox import ProblemInstance, _dual_value, _primal_value, _residual, _vector
 
 # Guards division by f(w) = 0, reachable only for b = 0 where w = 0 is optimal.
 GAP_DENOMINATOR_FLOOR = 1e-30
@@ -99,7 +99,7 @@ def dual_certificate(
     callers).  ``residual`` (= ``A w - b``) and ``design_t_residual`` (= ``A^T
     residual``) may be supplied to reuse products computed by a solver loop.
     """
-    w = np.asarray(w, dtype=float).ravel()
+    w = _vector(w, p.n, "w")
     if residual is None:
         residual = _residual(p, w)
     if design_t_residual is None:

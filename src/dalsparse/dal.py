@@ -81,7 +81,6 @@ systems.
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 import time
 from dataclasses import dataclass
@@ -91,8 +90,8 @@ from scipy.linalg import solve_triangular
 
 from .certificates import _certificate, _feasible_scale, relative_duality_gap
 from .prox import (
-    _GATHER_MAX_ELEMENTS, ProblemInstance, _gather_pays, _primal_value, _residual,
-    _starting_point, soft_threshold,
+    _GATHER_MAX_ELEMENTS, ProblemInstance, _check_cap, _check_positive, _gather_pays,
+    _primal_value, _residual, _starting_point, _vector, soft_threshold,
 )
 
 INNER_VARIANTS = ("cholesky", "pcg")
@@ -145,12 +144,6 @@ _LS_SUFFICIENT_DECREASE = 1e-4
 _MIN_STEP = 1e-16
 
 
-def _check_cap(name: str, cap) -> None:
-    """Reject an iteration cap that is not an integer (numpy's too) of at least 1."""
-    if not isinstance(cap, numbers.Integral) or cap < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {cap!r}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Start, tolerances and caps for :func:`solve`: five fields.
@@ -171,10 +164,9 @@ class SolverConfig:
     inner_variant: str = "cholesky"
 
     def __post_init__(self):
-        if self.eta_initial is not None and not 0 < self.eta_initial < math.inf:
-            raise ValueError("eta_initial must be finite and positive")
-        if not 0 < self.outer_tolerance < math.inf:
-            raise ValueError("outer_tolerance must be finite and positive")
+        if self.eta_initial is not None:
+            _check_positive("eta_initial", self.eta_initial)
+        _check_positive("outer_tolerance", self.outer_tolerance)
         _check_cap("max_outer", self.max_outer)
         _check_cap("max_inner_newton", self.max_inner_newton)
         if self.inner_variant not in INNER_VARIANTS:
@@ -325,12 +317,11 @@ def inner_workspace(
     ``design_t_alpha`` (= ``A^T alpha``) may be supplied to reuse a
     matrix-vector product computed by a solver loop.
     """
-    if not 0 < eta < math.inf:
-        raise ValueError(f"eta must be finite and positive, got {eta}")
-    alpha = np.asarray(alpha, dtype=float)
+    _check_positive("eta", eta)
+    alpha = _vector(alpha, p.m, "alpha")
     if design_t_alpha is None:
         design_t_alpha = p.design.T @ alpha
-    q = design_t_alpha + np.asarray(w, dtype=float) / eta
+    q = design_t_alpha + _vector(w, p.n, "w") / eta
     active = compute_active_set(q, p.lam)
     qa = q[active]
     shrunk = qa - p.lam * np.sign(qa)
@@ -415,7 +406,7 @@ def newton_direction_cholesky(
     Either way the workspace adds k to :data:`counters`.
     """
     ws = inner_workspace(p, w, eta, alpha)
-    return _newton_cholesky(ws, np.asarray(grad, dtype=float))
+    return _newton_cholesky(ws, _vector(grad, p.m, "grad"))
 
 
 def _newton_pcg(ws, grad, tol, max_iters):
@@ -462,7 +453,7 @@ def newton_direction_pcg(
     direction and the number of CG iterations spent.
     """
     ws = inner_workspace(p, w, eta, alpha)
-    return _newton_pcg(ws, np.asarray(grad, dtype=float), tol, max_iters)
+    return _newton_pcg(ws, _vector(grad, p.m, "grad"), tol, max_iters)
 
 
 @dataclass
@@ -561,13 +552,12 @@ def backtracking_line_search(
     sufficient decrease of the inner objective.  A non-descent direction
     falls back to steepest descent so decrease is always achievable.
     """
-    alpha = np.asarray(alpha, dtype=float)
+    w = _vector(w, p.n, "w")
+    alpha = _vector(alpha, p.m, "alpha")
+    direction = _vector(direction, p.m, "direction")
     design_t_alpha = p.design.T @ alpha
     ws = inner_workspace(p, w, eta, alpha, design_t_alpha)
-    carried = _CarriedProduct.start(
-        p._column_norms, np.asarray(w, dtype=float) / eta, design_t_alpha
-    )
-    direction = np.asarray(direction, dtype=float)
+    carried = _CarriedProduct.start(p._column_norms, w / eta, design_t_alpha)
     return _line_search(ws, direction, _gradient(ws), carried)
 
 
@@ -623,8 +613,9 @@ def inner_solve(
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    w = np.asarray(w, dtype=float)
-    alpha = np.array(alpha_start, dtype=float)
+    w = _vector(w, p.n, "w")
+    # A copy: the returned alpha is never the caller's array.
+    alpha = _vector(alpha_start, p.m, "alpha_start").copy()
     if design_t_alpha is None:
         design_t_alpha = p.design.T @ alpha
     carried = _CarriedProduct.start(p._column_norms, w / eta, design_t_alpha)
@@ -659,11 +650,11 @@ def outer_update(
     ``design_t_alpha`` (= ``A^T alpha``) may be supplied to reuse a
     matrix-vector product computed by a solver loop.
     """
-    if not 0 < eta < math.inf:
-        raise ValueError(f"eta must be finite and positive, got {eta}")
-    w = np.asarray(w, dtype=float)
+    _check_positive("eta", eta)
+    w = _vector(w, p.n, "w")
+    alpha = _vector(alpha, p.m, "alpha")
     if design_t_alpha is None:
-        design_t_alpha = p.design.T @ np.asarray(alpha, dtype=float)
+        design_t_alpha = p.design.T @ alpha
     return soft_threshold(w + eta * design_t_alpha, p.lam * eta)
 
 

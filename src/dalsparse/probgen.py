@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .prox import ProblemInstance
+from .prox import ProblemInstance, _check_cap, _check_positive
 
 FAMILIES = ("normal", "poor", "largescale")
 
@@ -58,8 +59,7 @@ class LambdaRule:
     def __post_init__(self):
         if self.kind not in ("fixed", "inv-sqrt-n"):
             raise ValueError(f"unknown lambda rule kind {self.kind!r}")
-        if not 0 < self.value < math.inf:
-            raise ValueError("lambda rule value must be finite and positive")
+        _check_positive("lambda rule value", self.value)
 
     def resolve(self, n: int) -> float:
         if self.kind == "fixed":
@@ -72,7 +72,7 @@ class GenSpec:
     """Generation request; unset fields resolve to family defaults.
 
     ``normal`` and ``poor`` require m (n defaults to 4m); ``largescale``
-    requires n (m defaults to 1024).
+    requires n (m defaults to 1024).  m, n and ``seed`` are integers.
     """
 
     family: str
@@ -94,8 +94,8 @@ class GenSpec:
             raise ValueError(
                 f"noise_variance must be finite and nonnegative, got {self.noise_variance}"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must lie in [0, 2**64) as an integer, got {self.seed!r}")
 
 
 _FAMILY_DEFAULTS = {
@@ -114,18 +114,18 @@ def resolve_spec(spec: GenSpec) -> GenSpec:
             raise ValueError(f"family {spec.family!r} requires m")
         if n is None:
             n = 4 * m
-        if spec.family == "poor" and m > MAX_POOR_CONDITIONING_M:
-            raise ValueError(
-                f"poor-conditioning generation needs a full SVD; "
-                f"m is capped at {MAX_POOR_CONDITIONING_M}"
-            )
     else:
         if n is None:
             raise ValueError("family 'largescale' requires n")
         if m is None:
             m = 1024
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
+    _check_cap("m", m)
+    _check_cap("n", n)
+    if spec.family == "poor" and m > MAX_POOR_CONDITIONING_M:
+        raise ValueError(
+            f"poor-conditioning generation needs a full SVD; "
+            f"m is capped at {MAX_POOR_CONDITIONING_M}"
+        )
     noise = spec.noise_variance
     if noise is None:
         noise = defaults["noise_variance"]
@@ -168,8 +168,8 @@ def _gaussian_design(rng, m: int, n: int) -> np.ndarray:
 
 def gen_gaussian_design(m: int, n: int, seed: int) -> np.ndarray:
     """m x n matrix of i.i.d. zero-mean Gaussians with variance 1/(2n)."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
+    _check_cap("m", m)
+    _check_cap("n", n)
     return _gaussian_design(_rng(seed), m, n)
 
 

@@ -10,11 +10,16 @@ regularization weight ``lam > 0``.  Its Fenchel dual is
     maximize_alpha  -0.5 * ||alpha - b||_2^2 + 0.5 * ||b||_2^2
     subject to      ||A^T alpha||_inf <= lam.
 
-Everything here is a pure function of immutable inputs.
+Everything here is a pure function of immutable inputs.  Each input rule of
+the public functions has one owner: :func:`_vector` (vectors, read flat, and a
+wrong length named), :func:`_check_positive` (finite, positive scalars) and
+:func:`_check_cap` (counts: integers of at least 1).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +37,26 @@ FEASIBILITY_RTOL = 1e-9
 # genuinely sparse (a quarter of the columns) or the copy itself gets large.
 _GATHER_MAX_FRACTION = 0.25
 _GATHER_MAX_ELEMENTS = 2**25
+
+
+def _vector(x, size: int, name: str) -> np.ndarray:
+    """``x`` as a flat float view, of any shape holding ``size`` entries."""
+    v = np.asarray(x, dtype=float).ravel()
+    if v.shape[0] != size:
+        raise ValueError(f"{name} has length {v.shape[0]}, expected {size}")
+    return v
+
+
+def _check_positive(name: str, value) -> None:
+    """Reject a scalar that is not finite and positive (NaN included)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_cap(name: str, cap) -> None:
+    """Reject a count that is not an integer (numpy's too, bool not) of at least 1."""
+    if not isinstance(cap, numbers.Integral) or isinstance(cap, bool) or cap < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +86,7 @@ class ProblemInstance:
                 f"observations length {observations.shape[0]} does not match "
                 f"design row count {design.shape[0]}"
             )
-        if not 0 < self.lam < np.inf:
-            raise ValueError(f"lam must be finite and positive, got {self.lam}")
+        _check_positive("lam", self.lam)
 
     @property
     def m(self) -> int:
@@ -88,9 +112,7 @@ def _starting_point(p: ProblemInstance, w_initial: np.ndarray | None) -> np.ndar
     """
     if w_initial is None:
         return np.zeros(p.n)
-    w = np.array(w_initial, dtype=float).ravel()
-    if w.shape[0] != p.n:
-        raise ValueError(f"w_initial has length {w.shape[0]}, expected {p.n}")
+    w = _vector(w_initial, p.n, "w_initial").copy()
     if not np.isfinite(w).all():
         raise ValueError("w_initial has a NaN or infinite entry")
     return w
@@ -127,9 +149,7 @@ def _gather_pays(p: ProblemInstance, k: int) -> bool:
 
 
 def _residual(p: ProblemInstance, w: np.ndarray) -> np.ndarray:
-    """A w - b for a length-n float ``w``, from its nonzero columns while few."""
-    if w.shape[0] != p.n:
-        raise ValueError(f"w has length {w.shape[0]}, expected {p.n}")
+    """A w - b for a flat float ``w`` of length n, from its nonzero columns while few."""
     nz = np.flatnonzero(w)
     if _gather_pays(p, nz.size):
         return p.design[:, nz] @ w[nz] - p.observations
@@ -138,7 +158,7 @@ def _residual(p: ProblemInstance, w: np.ndarray) -> np.ndarray:
 
 def primal_objective(p: ProblemInstance, w: np.ndarray) -> float:
     """Evaluate 0.5*||A w - b||^2 + lam*||w||_1."""
-    w = np.asarray(w, dtype=float).ravel()
+    w = _vector(w, p.n, "w")
     return _primal_value(p, w, _residual(p, w))
 
 
@@ -155,9 +175,7 @@ def dual_objective(p: ProblemInstance, alpha: np.ndarray) -> float:
     By weak duality the value never exceeds ``primal_objective(p, w)`` for
     any ``w``.
     """
-    alpha = np.asarray(alpha, dtype=float).ravel()
-    if alpha.shape[0] != p.m:
-        raise ValueError(f"alpha has length {alpha.shape[0]}, expected {p.m}")
+    alpha = _vector(alpha, p.m, "alpha")
     corr = np.abs(p.design.T @ alpha).max()
     if not corr <= p.lam * (1.0 + FEASIBILITY_RTOL):
         raise DualInfeasibleError(

@@ -1,17 +1,29 @@
 """Feasible-point construction and relative-gap behavior."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from dalsparse import (
     GenSpec,
+    IstConfig,
     ProblemInstance,
     SolverConfig,
+    backtracking_line_search,
     dual_certificate,
     dual_objective,
     feasible_dual_point,
     generate,
+    inner_gradient,
+    inner_objective,
+    inner_solve,
+    inner_workspace,
+    ist_solve,
     ist_step,
+    newton_direction_cholesky,
+    newton_direction_pcg,
+    outer_update,
     primal_objective,
     relative_duality_gap,
     solve,
@@ -97,22 +109,125 @@ def test_nonfinite_w_is_never_certified(value):
         assert dual_certificate(p, w).relative_gap == np.inf
 
 
+def _argument(name, size):
+    """A value of the vector argument ``name`` with ``size`` entries.
+
+    A primal vector gets three nonzeros: few enough that A w is formed from
+    the gathered columns, which a w one entry short or long would otherwise
+    index without error.  A dual vector is small enough to be feasible.
+    """
+    if name.startswith("w"):
+        v = np.zeros(size)
+        v[:3] = 1.0
+        return v
+    return 1e-3 * np.linspace(-1.0, 1.0, size)
+
+
+def _w(p):
+    return _argument("w", p.n)
+
+
+def _alpha(p):
+    return _argument("alpha", p.m)
+
+
+def _workspace(ws):
+    return ws.q, ws.active, ws.shrunk
+
+
+def _report(report):
+    return report.w_final, tuple(report.gap_trace), report.outer_iters
+
+
+# Every public function that takes a problem and a vector, once per vector
+# argument: (argument, call(p, value)), the other arguments filled in.
+_SHORT = SolverConfig(max_outer=3, max_inner_newton=3)
+VECTOR_CALLS = {
+    "dual_certificate": ("w", lambda p, v: astuple(dual_certificate(p, v))),
+    "relative_duality_gap": ("w", relative_duality_gap),
+    "feasible_dual_point": ("w", feasible_dual_point),
+    "primal_objective": ("w", primal_objective),
+    "ist_step": ("w", lambda p, v: ist_step(p, v, 1.0)),
+    "dual_objective-alpha": ("alpha", dual_objective),
+    "ist_solve-w_initial": (
+        "w_initial", lambda p, v: _report(ist_solve(p, IstConfig(max_iters=20), v))
+    ),
+    "solve-w_initial": ("w_initial", lambda p, v: _report(solve(p, _SHORT, v))),
+    "inner_workspace-w": ("w", lambda p, v: _workspace(inner_workspace(p, v, 1.0, _alpha(p)))),
+    "inner_workspace-alpha": (
+        "alpha", lambda p, v: _workspace(inner_workspace(p, _w(p), 1.0, v))
+    ),
+    "inner_objective-w": ("w", lambda p, v: inner_objective(p, v, 1.0, _alpha(p))),
+    "inner_objective-alpha": ("alpha", lambda p, v: inner_objective(p, _w(p), 1.0, v)),
+    "inner_gradient-w": ("w", lambda p, v: inner_gradient(p, v, 1.0, _alpha(p))),
+    "inner_gradient-alpha": ("alpha", lambda p, v: inner_gradient(p, _w(p), 1.0, v)),
+    "newton_direction_cholesky-w": (
+        "w", lambda p, v: newton_direction_cholesky(p, v, 1.0, _alpha(p), _alpha(p))
+    ),
+    "newton_direction_cholesky-alpha": (
+        "alpha", lambda p, v: newton_direction_cholesky(p, _w(p), 1.0, v, _alpha(p))
+    ),
+    "newton_direction_cholesky-grad": (
+        "grad", lambda p, v: newton_direction_cholesky(p, _w(p), 1.0, _alpha(p), v)
+    ),
+    "newton_direction_pcg-w": (
+        "w", lambda p, v: newton_direction_pcg(p, v, 1.0, _alpha(p), _alpha(p), 1e-8, 50)
+    ),
+    "newton_direction_pcg-alpha": (
+        "alpha", lambda p, v: newton_direction_pcg(p, _w(p), 1.0, v, _alpha(p), 1e-8, 50)
+    ),
+    "newton_direction_pcg-grad": (
+        "grad", lambda p, v: newton_direction_pcg(p, _w(p), 1.0, _alpha(p), v, 1e-8, 50)
+    ),
+    "backtracking_line_search-w": (
+        "w", lambda p, v: backtracking_line_search(p, v, 1.0, _alpha(p), _alpha(p))
+    ),
+    "backtracking_line_search-alpha": (
+        "alpha", lambda p, v: backtracking_line_search(p, _w(p), 1.0, v, _alpha(p))
+    ),
+    "backtracking_line_search-direction": (
+        "direction", lambda p, v: backtracking_line_search(p, _w(p), 1.0, _alpha(p), v)
+    ),
+    "inner_solve-w": ("w", lambda p, v: inner_solve(p, v, 1.0, 1e-8, _alpha(p), _SHORT)),
+    "inner_solve-alpha_start": (
+        "alpha_start", lambda p, v: inner_solve(p, _w(p), 1.0, 1e-8, v, _SHORT)
+    ),
+    "outer_update-w": ("w", lambda p, v: outer_update(v, _alpha(p), 1.0, p)),
+    "outer_update-alpha": ("alpha", lambda p, v: outer_update(_w(p), v, 1.0, p)),
+}
+
+
+def _size(p, argument):
+    return p.n if argument.startswith("w") else p.m
+
+
 @pytest.mark.parametrize("extra", [-1, 1], ids=["n-1", "n+1"])
-@pytest.mark.parametrize(
-    "evaluate",
-    [dual_certificate, relative_duality_gap, feasible_dual_point, primal_objective,
-     lambda p, w: ist_step(p, w, 1.0)],
-    ids=["dual_certificate", "relative_duality_gap", "feasible_dual_point",
-         "primal_objective", "ist_step"],
-)
+@pytest.mark.parametrize("evaluate", list(VECTOR_CALLS.values()), ids=list(VECTOR_CALLS))
 def test_wrong_length_w_rejected(evaluate, extra):
-    # Three nonzeros: few enough that A w is formed from the gathered columns,
-    # which a w one entry short or long would otherwise index without error.
+    # A primal argument one entry short or long (n-1, n+1), or a dual one
+    # (m-1, m+1), is named in a ValueError.
+    argument, call = evaluate
     p = random_problem(np.random.default_rng(13), n=40)
-    w = np.zeros(p.n + extra)
-    w[:3] = 1.0
-    with pytest.raises(ValueError, match="w has length"):
-        evaluate(p, w)
+    with pytest.raises(ValueError, match=f"{argument} has length"):
+        call(p, _argument(argument, _size(p, argument) + extra))
+
+
+def _assert_same(a, b):
+    if isinstance(a, tuple):
+        assert isinstance(b, tuple) and len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
+    else:
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+@pytest.mark.parametrize("evaluate", list(VECTOR_CALLS.values()), ids=list(VECTOR_CALLS))
+def test_column_vector_read_flat(evaluate):
+    # An (n, 1) or (m, 1) argument gives exactly the flat vector's result.
+    argument, call = evaluate
+    p = random_problem(np.random.default_rng(13), n=40)
+    flat = _argument(argument, _size(p, argument))
+    _assert_same(call(p, flat[:, None]), call(p, flat))
 
 
 def test_certificate_invariants_random_points():

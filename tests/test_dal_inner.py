@@ -388,6 +388,18 @@ class TestInnerSolve:
         with pytest.raises(ValueError):
             inner_solve(p, np.zeros(1), 1.0, 0.0, np.zeros(1), SolverConfig())
 
+    def test_returns_its_own_alpha_without_newton_steps(self):
+        # eps = 1e300 stops before the first Newton step; the alpha returned
+        # is still a new array, never the caller's alpha_start.
+        p = random_problem(np.random.default_rng(5))
+        alpha_start = 0.5 * p.observations
+        alpha, iters, _ = inner_solve(
+            p, np.zeros(p.n), 1.0, 1e300, alpha_start, SolverConfig()
+        )
+        assert iters == 0
+        assert not np.shares_memory(alpha, alpha_start)
+        np.testing.assert_array_equal(alpha, alpha_start)
+
     def test_lambda_dominated_reaches_b_quickly(self):
         rng = np.random.default_rng(17)
         A = rng.standard_normal((6, 15)) * 0.1

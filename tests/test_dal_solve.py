@@ -291,7 +291,7 @@ class TestSchedule:
 class TestSolverConfigValidation:
     @pytest.mark.parametrize("field", ["max_outer", "max_inner_newton"])
     def test_caps_must_be_positive_integers(self, field):
-        for bad in (2.5, 1.5, 0, -1, "3"):
+        for bad in (2.5, 1.5, 0, -1, "3", True):
             with pytest.raises(ValueError):
                 SolverConfig(**{field: bad})
         assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3

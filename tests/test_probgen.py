@@ -124,6 +124,17 @@ class TestGenerate:
         with pytest.raises(ValueError):
             resolve_spec(GenSpec(family="poor", m=4096))
 
+    @pytest.mark.parametrize(
+        "family, size",
+        [("normal", dict(m=2.5)), ("normal", dict(m=16, n=40.0)), ("poor", dict(m=True)),
+         ("normal", dict(m=0)), ("largescale", dict(n=-1)), ("largescale", dict(n=64, m=8.0))],
+    )
+    def test_sizes_must_be_positive_integers(self, family, size):
+        with pytest.raises(ValueError, match="must be an integer of at least 1"):
+            resolve_spec(GenSpec(family=family, **size))
+        with pytest.raises(ValueError, match="must be an integer of at least 1"):
+            gen_gaussian_design(size.get("m", 8), size.get("n", 32), seed=1)
+
     def test_lambda_rule_override(self):
         gen = generate(GenSpec(family="normal", m=16,
                                lambda_rule=LambdaRule("fixed", 0.4), seed=15))
@@ -169,6 +180,17 @@ class TestGenSpecSeed:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_bounds_accepted(self, seed):
         assert generate(GenSpec(family="normal", m=4, seed=seed)).seed == seed
+
+    @pytest.mark.parametrize("seed", [1.5, 1.9, 1.0, "1"])
+    def test_non_integral_rejected(self, seed):
+        # 1.5 and 1.9 would otherwise draw seed 1's problem under seed 1.5.
+        with pytest.raises(ValueError, match="seed must lie in"):
+            GenSpec(family="normal", m=16, seed=seed)
+
+    def test_numpy_integer_accepted(self):
+        gen = generate(GenSpec(family="normal", m=4, seed=np.int64(3)))
+        same = generate(GenSpec(family="normal", m=4, seed=3))
+        np.testing.assert_array_equal(gen.problem.design, same.problem.design)
 
 
 class TestGenSpecNoise:
