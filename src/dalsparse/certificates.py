@@ -102,8 +102,10 @@ def dual_certificate(
     w = _vector(w, p.n, "w")
     if residual is None:
         residual = _residual(p, w)
+    residual = _vector(residual, p.m, "residual")
     if design_t_residual is None:
         design_t_residual = p.design.T @ residual
+    design_t_residual = _vector(design_t_residual, p.n, "design_t_residual")
     return _certificate(p, _primal_value(p, w, residual), -residual, design_t_residual)
 
 

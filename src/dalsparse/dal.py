@@ -38,36 +38,49 @@ whether A+ was gathered into a copy or is applied masked against the full
 design, and the one place that counts column touches.
 
 Products with the whole design matrix dominate the cost of wide problems, so
-``A^T alpha`` is carried through the loop instead of recomputed, and kept
-exact only on the columns that can become active.  A line search step
-``t <= 1`` along d moves q_j by at most ``||a_j||*||d||`` (Cauchy-Schwarz,
-the sphere test of Gap Safe screening: Fercoq, Gramfort & Salmon, ICML
-2015), so each line search reads only the columns whose carried upper bound
-on |q_j| plus that radius exceeds lam.  When they are few enough to gather,
-one blocked pass over them forms both ``a_j^T alpha`` and ``a_j^T d``;
-every other column stays at or below lam at every trial point, adds nothing
-to the trial objectives, and only has its bound grown by ``t*||a_j||*||d||``.
-Otherwise the search makes one full product for ``A^T d``, plus one for
-``A^T alpha`` when earlier steps left any entry stale.  The column norms are
-computed once per problem (``ProblemInstance._column_norms``).  The
-multiplier update reads the carried vector, and ``A w`` is formed from the
-nonzero columns of the sparse iterate by :func:`dalsparse.prox._residual`,
-the owner of the gather rule.  :func:`solve` takes one fresh ``A^T alpha``
-after every inner solve (and after every descent retry), which is the only
-full refresh and bounds the rounding drift of the carried vector.
+``A^T alpha`` is carried from the start of :func:`solve` to its end instead
+of recomputed, and kept exact only on the columns that can become active.  A
+line search step ``t <= 1`` along d moves q_j by at most ``||a_j||*||d||``
+(Cauchy-Schwarz, the sphere test of Gap Safe screening: Fercoq, Gramfort &
+Salmon, ICML 2015), so each line search reads only the columns whose carried
+upper bound on |q_j| plus that radius exceeds lam.  When they are few enough
+to gather, one blocked pass over them forms both ``a_j^T alpha`` and
+``a_j^T d``; every other column stays at or below lam at every trial point,
+adds nothing to the trial objectives, and only has its bound grown by
+``t*||a_j||*||d||``.  Otherwise the search makes one full product for
+``A^T d``, and makes the stale entries exact as well: gathered when they are
+few, else by a second full product.  A Newton step from an empty active set
+is ``d = b - alpha`` for both inner variants, so its search takes ``A^T d =
+A^T b - A^T alpha`` from the start's ``A^T b`` and makes no product; from
+``w = 0`` that is the first search, where nearly every column can cross lam.
+The column norms are computed once per problem
+(``ProblemInstance._column_norms``).
 
-The same fresh ``A^T alpha`` certifies the iterate cheaply: scaled into the
-dual feasible set, alpha gives a duality gap in O(m + n).  Only when that gap
-meets the tolerance does the solver form ``A^T (A w - b)`` for the residual
-certificate of :mod:`dalsparse.certificates`, and it stops only on the
-latter, so the returned ``w`` is certified from its own residual.  A solve
-therefore makes ``outer iterations + residual certificates + 1`` full-design
-products (the refresh per outer iteration, one per residual certificate, and
-``A^T b`` at the start), plus one or two per line search that cannot gather
-its columns: near the start every column can cross lam and each Newton step
-costs a full product, while in the later, sparse steps most cost none.
-Masked workspaces (see :class:`InnerWorkspace`), a dense iterate's ``A w``
-and descent retries add to it.
+Between outer iterations the carried vector is rebased, not refreshed.  After
+the last accepted step every stale column has |q_j| <= lam, so the
+multiplier update leaves it at w_j = 0, and the next shift w/eta moves its
+q_j by at most the old shift.  Each stale column whose bound that lifts
+above lam is made exact (gathered when few, else one full product) before
+anything reads the vector again, so every stale entry stays inactive: the
+multiplier update, the prescreen below and every active set read what a
+fresh product would give.  The exact entries gain one rounding per line
+search.  The multiplier update reads the carried vector, and ``A w`` is
+formed from the nonzero columns of the sparse iterate by
+:func:`dalsparse.prox._residual`, the owner of the gather rule.
+
+The carried ``A^T alpha`` also certifies the iterate cheaply: its largest
+entry is exact or at most lam, so, scaled into the dual feasible set, alpha
+gives a duality gap in O(m + n).  Only when that gap meets the tolerance
+does the solver form ``A^T (A w - b)`` for the residual certificate of
+:mod:`dalsparse.certificates`, and it stops only on the latter, so the
+returned ``w`` is certified from its own residual.  A solve therefore makes
+``residual certificates + 1`` full-design products (one per residual
+certificate, and ``A^T b`` at the start), plus one or two per line search
+that cannot gather its columns, and one per rebase whose lifted columns are
+too many to gather: near the start every column can cross lam and most
+Newton steps cost a full product, while in the later, sparse steps most
+cost none.  Masked workspaces (see :class:`InnerWorkspace`) and a dense
+iterate's ``A w`` add to it.
 
 That first product also places the starting multiplier: alpha starts at
 ``b`` scaled into the dual feasible set ``||A^T alpha||_inf <= lam``, and its
@@ -321,7 +334,7 @@ def inner_workspace(
     alpha = _vector(alpha, p.m, "alpha")
     if design_t_alpha is None:
         design_t_alpha = p.design.T @ alpha
-    q = design_t_alpha + _vector(w, p.n, "w") / eta
+    q = _vector(design_t_alpha, p.n, "design_t_alpha") + _vector(w, p.n, "w") / eta
     active = compute_active_set(q, p.lam)
     qa = q[active]
     shrunk = qa - p.lam * np.sign(qa)
@@ -458,13 +471,14 @@ def newton_direction_pcg(
 
 @dataclass
 class _CarriedProduct:
-    """``A^T alpha`` carried through one inner solve, exact where it can matter.
+    """``A^T alpha`` carried through a solve, exact where it can matter.
 
     ``design_t_alpha`` is exact where ``exact`` is set, and there ``upper``
     is |q_j| itself, for q_j = (A^T alpha)_j + shift_j.  Elsewhere
     ``design_t_alpha`` holds its value at an earlier alpha, and all that is
     known is |q_j| <= upper_j <= lam: the column is inactive.  ``shift`` is
-    w/eta and ``norms`` holds the column norms ||a_j||.
+    w/eta and ``norms`` holds the column norms ||a_j||.  ``design_t_b`` is
+    ``A^T b`` when the solve holds it, else None.
     """
 
     norms: np.ndarray
@@ -472,20 +486,34 @@ class _CarriedProduct:
     design_t_alpha: np.ndarray
     upper: np.ndarray
     exact: np.ndarray
+    design_t_b: np.ndarray | None = None
 
     @classmethod
-    def start(cls, norms, shift, design_t_alpha):
-        """Exact everywhere: ``design_t_alpha`` is a fresh ``A^T alpha``."""
+    def start(cls, norms, shift, design_t_alpha, design_t_b=None):
+        """Exact everywhere: ``design_t_alpha`` is a fresh ``A^T alpha``,
+        copied, so the caller's array is never changed."""
         dta = np.array(design_t_alpha, dtype=float)
-        return cls(norms, shift, dta, np.abs(dta + shift), np.ones(dta.size, bool))
+        exact = np.ones(dta.size, bool)
+        return cls(norms, shift, dta, np.abs(dta + shift), exact, design_t_b)
 
-    def refresh_stale(self, p, alpha):
-        """Make every entry exact at ``alpha`` by one full product, if any is
-        stale.  Gathering the stale columns never pays above n = 32: a search
-        that gathers leaves at least ``n - max(16, n/4)`` of them stale."""
-        if not self.exact.all():
+    def make_exact(self, p, alpha, cols):
+        """Make the entries on ``cols`` exact at ``alpha``: gathered when that
+        pays, else by one full product, which makes every entry exact."""
+        if _gather_pays(p, cols.size):
+            self.design_t_alpha[cols] = _gathered_products(p, cols, alpha)
+            self.exact[cols] = True
+        else:
             self.design_t_alpha = p.design.T @ alpha
             self.exact[:] = True
+
+    def toward_b(self, p, alpha, direction):
+        """``A^T d`` for d = b - alpha, as ``A^T b - A^T alpha`` and without a
+        product, when every entry is exact; None for any other d."""
+        if self.design_t_b is None or not self.exact.all():
+            return None
+        if not np.array_equal(direction, p.observations - alpha):
+            return None
+        return self.design_t_b - self.design_t_alpha
 
     def advance(self, cols, step, design_t_dir, reach):
         """Move to alpha + step*d: exact on ``cols``, where ``design_t_dir``
@@ -495,6 +523,23 @@ class _CarriedProduct:
         self.upper[cols] = np.abs(self.design_t_alpha[cols] + self.shift[cols])
         self.exact[:] = False
         self.exact[cols] = True
+
+    def rebase(self, p, alpha, shift):
+        """Move to a new shift w/eta at the same alpha.
+
+        Each |q_j| moves by at most |shift_j - old shift_j|, so every stale
+        bound grows by that much: by |old shift_j| on a stale column, where
+        the multiplier update left w_j = 0.  Every stale column whose bound
+        then exceeds lam is made exact (:meth:`make_exact`), so every stale
+        entry stays inactive, and a workspace, a multiplier update or a
+        feasible scale reads the same active set and maximum as from a fresh
+        product.
+        """
+        self.upper += np.abs(shift - self.shift)
+        self.shift = shift
+        self.make_exact(p, alpha, np.flatnonzero(~self.exact & (self.upper > p.lam)))
+        exact = self.exact
+        self.upper[exact] = np.abs(self.design_t_alpha[exact] + shift[exact])
 
 
 def _line_search(ws, direction, grad, carried):
@@ -506,8 +551,11 @@ def _line_search(ws, direction, grad, carried):
     at a trial point; the others add nothing to any trial objective.  When
     gathering those columns pays, one blocked pass over them forms both
     ``a_j^T alpha`` and ``a_j^T d``, and the objectives run over them alone;
-    otherwise one full product forms ``A^T d`` (after a refresh of the stale
-    entries, if there are any) and the objectives run over every column.
+    otherwise one full product forms ``A^T d`` (after the stale entries are
+    made exact, if there are any) and the objectives run over every column.
+    A direction of exactly ``b - alpha`` (the Newton step from an empty
+    active set) takes ``A^T d`` from the carried ``A^T b`` instead, when
+    :meth:`_CarriedProduct.toward_b` has it, and makes no product.
     """
     p, eta, alpha = ws.p, ws.eta, ws.alpha
     slope = float(grad @ direction)
@@ -515,15 +563,18 @@ def _line_search(ws, direction, grad, carried):
         direction = -grad
         slope = -float(grad @ grad)
     reach = float(np.linalg.norm(direction)) * carried.norms
-    cols = np.flatnonzero(carried.upper + reach > p.lam)
-    if _gather_pays(p, cols.size):
-        both = _gathered_products(p, cols, np.column_stack((alpha, direction)))
-        carried.design_t_alpha[cols] = both[:, 0]
-        design_t_dir = both[:, 1]
-    else:
-        cols = slice(None)
-        design_t_dir = p.design.T @ direction
-        carried.refresh_stale(p, alpha)
+    design_t_dir = carried.toward_b(p, alpha, direction)
+    cols = slice(None)
+    if design_t_dir is None:
+        cols = np.flatnonzero(carried.upper + reach > p.lam)
+        if _gather_pays(p, cols.size):
+            both = _gathered_products(p, cols, np.column_stack((alpha, direction)))
+            carried.design_t_alpha[cols] = both[:, 0]
+            design_t_dir = both[:, 1]
+        else:
+            cols = slice(None)
+            design_t_dir = p.design.T @ direction
+            carried.make_exact(p, alpha, np.flatnonzero(~carried.exact))
     q = carried.design_t_alpha[cols] + carried.shift[cols]
     g0 = _objective_from_q(p, eta, alpha, q)
     step = 1.0
@@ -591,6 +642,7 @@ def inner_solve(
     config: SolverConfig,
     design_t_alpha: np.ndarray | None = None,
     progress_factor: float | None = None,
+    carried: _CarriedProduct | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Newton-iterate the inner problem from ``alpha_start`` until the gradient
     norm falls to ``eps`` or the iteration cap is reached.
@@ -603,22 +655,30 @@ def inner_solve(
     first.
 
     Returns the final alpha, the Newton steps taken, and total CG iterations
-    (zero for the Cholesky variant).  ``design_t_alpha`` (= ``A^T
-    alpha_start``) may be supplied to reuse a product a solver loop computed.
-    ``A^T alpha`` is then carried exactly only on the columns that can become
-    active, with an upper bound on |q_j| for the rest, and each line search
-    reads only the columns its step can lift above lam (by the cached column
-    norms): a gathered pass over them when gathering pays, else one
-    full-design product (two when earlier steps left entries stale).
+    (zero for the Cholesky variant).  ``A^T alpha`` is carried exactly only
+    on the columns that can become active, with an upper bound on |q_j| for
+    the rest, and each line search reads only the columns its step can lift
+    above lam (by the cached column norms): a gathered pass over them when
+    gathering pays, else one full-design product, plus one more when stale
+    entries are too many to gather.  ``carried`` is :func:`solve`'s state at
+    ``alpha_start`` and shift ``w/eta``, whose stale entries are inactive; it
+    is advanced in place to the returned alpha, and ``design_t_alpha`` is then
+    not read.  Without it the state starts here, exact everywhere, from
+    ``design_t_alpha`` (= ``A^T alpha_start``, to reuse a product a solver
+    loop computed) or from a fresh product.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    _check_positive("eta", eta)
     w = _vector(w, p.n, "w")
     # A copy: the returned alpha is never the caller's array.
     alpha = _vector(alpha_start, p.m, "alpha_start").copy()
-    if design_t_alpha is None:
-        design_t_alpha = p.design.T @ alpha
-    carried = _CarriedProduct.start(p._column_norms, w / eta, design_t_alpha)
+    if design_t_alpha is not None:
+        design_t_alpha = _vector(design_t_alpha, p.n, "design_t_alpha")
+    if carried is None:
+        if design_t_alpha is None:
+            design_t_alpha = p.design.T @ alpha
+        carried = _CarriedProduct.start(p._column_norms, w / eta, design_t_alpha)
     newton_iters = 0
     pcg_iters = 0
     for _ in range(config.max_inner_newton):
@@ -655,6 +715,7 @@ def outer_update(
     alpha = _vector(alpha, p.m, "alpha")
     if design_t_alpha is None:
         design_t_alpha = p.design.T @ alpha
+    design_t_alpha = _vector(design_t_alpha, p.n, "design_t_alpha")
     return soft_threshold(w + eta * design_t_alpha, p.lam * eta)
 
 
@@ -670,10 +731,10 @@ def solve(
     barrier-free quadratic term, scaled into the dual feasible set) and
     stops on primal progress or at the scheduled eps, whichever comes
     first.  After it, the gap of ``alpha * min(1, lam/||A^T alpha||_inf)``
-    is computed from the fresh ``A^T alpha``; only when it meets the
-    tolerance is the residual certificate formed, and only that certificate
-    ends the loop.  Exhausting ``max_outer`` flags the report non-converged
-    rather than raising.
+    is computed from the carried ``A^T alpha`` (see the module docstring);
+    only when it meets the tolerance is the residual certificate formed, and
+    only that certificate ends the loop.  Exhausting ``max_outer`` flags the
+    report non-converged rather than raising.
     """
     if config is None:
         config = SolverConfig()
@@ -688,31 +749,31 @@ def solve(
     primal = math.inf
     gap = math.inf
     # Start at b scaled into the dual feasible set, as certificates scale
-    # their candidates (see the module docstring).
-    design_t_alpha = p.design.T @ p.observations
-    scale = _feasible_scale(p, design_t_alpha)
+    # their candidates (see the module docstring).  The carried state keeps
+    # its own copy of the start's A^T alpha, and A^T b for the first search.
+    design_t_b = p.design.T @ p.observations
+    scale = _feasible_scale(p, design_t_b)
     alpha = scale * p.observations
-    design_t_alpha *= scale
+    start_product = scale * design_t_b
+    carried = _CarriedProduct.start(p._column_norms, w / eta, start_product, design_t_b)
     for k in range(1, config.max_outer + 1):
         retry = 1.0
         while True:
             eps_inner = max(retry * eps, _EPS_FLOOR)
             alpha, n_newton, n_pcg = inner_solve(
-                p, w, eta, eps_inner, alpha, config, design_t_alpha, retry
+                p, w, eta, eps_inner, alpha, config, start_product, retry, carried
             )
+            start_product = None
             newton_total += n_newton
             pcg_total += n_pcg
-            # The one fresh A^T alpha per inner solve: it resets the drift the
-            # line searches' updates accumulate, and everything below reuses it.
-            design_t_alpha = p.design.T @ alpha
             # Cap hits count the first-pass solve against its own stop rule,
             # not the descent retries below that refine it.
             if retry == 1.0 and n_newton >= config.max_inner_newton:
-                ws = inner_workspace(p, w, eta, alpha, design_t_alpha)
+                ws = inner_workspace(p, w, eta, alpha, carried.design_t_alpha)
                 gnorm = float(np.linalg.norm(_gradient(ws)))
                 if not _inner_done(ws, w, gnorm, eps, retry):
                     cap_hits += 1
-            w_new = outer_update(w, alpha, eta, p, design_t_alpha)
+            w_new = outer_update(w, alpha, eta, p, carried.design_t_alpha)
             residual = _residual(p, w_new)
             primal = _primal_value(p, w_new, residual)
             # An approximate inner solve can leak a tiny objective increase;
@@ -729,9 +790,13 @@ def solve(
         w = w_new
         if not math.isfinite(primal):
             raise NumericError(f"primal objective became non-finite at outer step {k}")
+        # Rebase before the prescreen reads the vector: until then a stale
+        # |A^T alpha_j| may exceed lam by the old shift.
+        eta_next = min(eta * _ETA_GROWTH, _ETA_CAP)
+        carried.rebase(p, alpha, w / eta_next)
         # Prescreen with alpha's own certificate (no product); the residual
         # one, which alone may end the loop, is formed only once it passes.
-        gap = _certificate(p, primal, alpha, design_t_alpha).relative_gap
+        gap = _certificate(p, primal, alpha, carried.design_t_alpha).relative_gap
         if gap <= config.outer_tolerance:
             design_t_residual = p.design.T @ residual
             gap = relative_duality_gap(p, w, residual, design_t_residual)
@@ -740,7 +805,7 @@ def solve(
         gap_trace.append(gap)
         if converged:
             break
-        eta = min(eta * _ETA_GROWTH, _ETA_CAP)
+        eta = eta_next
         eps = max(eps * _EPS_SHRINK, _EPS_FLOOR)
     wall = time.perf_counter() - start
     return SolveReport(

@@ -194,11 +194,35 @@ VECTOR_CALLS = {
     ),
     "outer_update-w": ("w", lambda p, v: outer_update(v, _alpha(p), 1.0, p)),
     "outer_update-alpha": ("alpha", lambda p, v: outer_update(_w(p), v, 1.0, p)),
+    # The reuse arguments: products a solver loop already holds.
+    "inner_workspace-design_t_alpha": (
+        "design_t_alpha",
+        lambda p, v: _workspace(inner_workspace(p, _w(p), 1.0, _alpha(p), v)),
+    ),
+    "inner_solve-design_t_alpha": (
+        "design_t_alpha", lambda p, v: inner_solve(p, _w(p), 1.0, 1e-8, _alpha(p), _SHORT, v)
+    ),
+    "outer_update-design_t_alpha": (
+        "design_t_alpha", lambda p, v: outer_update(_w(p), _alpha(p), 1.0, p, v)
+    ),
+    "dual_certificate-residual": (
+        "residual", lambda p, v: astuple(dual_certificate(p, _w(p), v))
+    ),
+    "dual_certificate-design_t_residual": (
+        "design_t_residual", lambda p, v: astuple(dual_certificate(p, _w(p), None, v))
+    ),
+    "relative_duality_gap-residual": (
+        "residual", lambda p, v: relative_duality_gap(p, _w(p), v)
+    ),
+    "relative_duality_gap-design_t_residual": (
+        "design_t_residual", lambda p, v: relative_duality_gap(p, _w(p), None, v)
+    ),
 }
 
 
 def _size(p, argument):
-    return p.n if argument.startswith("w") else p.m
+    """n for a primal vector or an A^T product, m for a dual one."""
+    return p.n if argument.startswith(("w", "design_t")) else p.m
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["n-1", "n+1"])

@@ -1,6 +1,7 @@
 """Inner minimization machinery: objective, gradient, Hessian, line search."""
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -387,6 +388,15 @@ class TestInnerSolve:
         p = ProblemInstance(design=[[1.0]], observations=[1.0], lam=1.0)
         with pytest.raises(ValueError):
             inner_solve(p, np.zeros(1), 1.0, 0.0, np.zeros(1), SolverConfig())
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_eta_before_dividing_by_it(self, eta):
+        # A ValueError, not numpy's divide warning: w / eta is never formed.
+        p = generate(GenSpec(family="normal", m=8, seed=1)).problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="eta must be finite and positive"):
+                inner_solve(p, np.zeros(p.n), eta, 1e-3, np.zeros(p.m), SolverConfig())
 
     def test_returns_its_own_alpha_without_newton_steps(self):
         # eps = 1e300 stops before the first Newton step; the alpha returned

@@ -1,14 +1,17 @@
-"""Full-design product budget of a DAL solve and of a certificate, and the
-A^T alpha reuse arguments.
+"""Full-design product budget of a DAL solve and of a certificate, the
+A^T alpha reuse arguments, and the A^T alpha a solve carries.
 
-A solve carries ``A^T alpha`` from each line search to the next Newton step
-and refreshes it once per inner solve.  It makes one product with the whole
-design at the start and one per outer iteration, and one per residual
+A solve carries one ``A^T alpha`` from its start to its end: exact on the
+columns that can be active, and bounded by lam elsewhere.  It makes one
+product with the whole design at the start (``A^T b``), and one per residual
 duality-gap certificate, which it forms only once the certificate of its own
 multiplier meets the tolerance.  A line search makes at most one full
 product, or two when stale entries of the carried vector need one: when the
 columns its step can lift above lam are few enough to gather, it reads only
-those, so a sparse solve makes fewer full products than Newton steps.
+those, so a sparse solve makes fewer full products than Newton steps.  The
+first search from ``w = 0`` makes none.  Between outer iterations the carried
+vector makes one only when the stale columns it must make exact are too many
+to gather.
 """
 
 import copy
@@ -73,8 +76,8 @@ def assert_within_budget(problem, tol):
     counted, counter = counting(problem)
     report = solve(counted, SolverConfig(outer_tolerance=tol, inner_variant="cholesky"))
     assert report.converged
-    # The start and every refresh make one full product each.
-    assert counter[0] >= report.outer_iters + 1
+    # The start's A^T b, and at least one residual certificate.
+    assert counter[0] >= 2
     budget = report.inner_newton_iters + 3 * report.outer_iters + 4
     assert counter[0] <= budget, (counter[0], report.inner_newton_iters, report.outer_iters)
     return report, counter[0]
@@ -90,7 +93,7 @@ class TestProductBudget:
         p = generate(GenSpec(family="largescale", n=4096, seed=1)).problem
         report, full_products = assert_within_budget(p, 1e-3)
         # Line searches over few enough columns gather them instead, so the
-        # count falls below one per Newton step plus the start and refreshes.
+        # count falls below one per Newton step plus one per outer iteration.
         assert full_products < report.inner_newton_iters + report.outer_iters + 1
 
 
@@ -202,3 +205,172 @@ class TestReuseArguments:
             assert value == pytest.approx(f, rel=1e-12, abs=0)
         full_aw_products = 1 if density == 1.0 else 0
         assert counter[0] == full_aw_products + transposed_products
+
+
+# (family, size, seed, random start, variant, makes a descent retry, has a
+# rebase that makes stale columns exact): zero- and random-init starts, and
+# solves that retry, lift stale bounds above lam, or both.
+CARRIED_CASES = [
+    ("normal", dict(m=64), 2, False, "cholesky", False, True),
+    ("normal", dict(m=64), 5, False, "pcg", True, False),
+    ("normal", dict(m=32), 5, True, "pcg", False, True),
+    ("poor", dict(m=64), 8, True, "cholesky", True, False),
+    ("poor", dict(m=64), 8, True, "pcg", True, True),
+    ("largescale", dict(n=4096), 1, False, "cholesky", False, False),
+]
+CARRIED_IDS = [
+    f"{family}-{next(iter(size.values()))}-{seed}-{'random' if rand else 'zero'}-{variant}"
+    for family, size, seed, rand, variant, _, _ in CARRIED_CASES
+]
+
+
+def watched_solve(monkeypatch, case, after_inner=None, on_workspace=None):
+    """Solve ``case`` at tol 1e-6 with ``dal.inner_solve`` and
+    ``dal.inner_workspace`` wrapped, and check that it converges, makes a
+    descent retry (an inner solve with a progress factor below 1) and has a
+    rebase make stale columns exact exactly when the case says so.
+
+    ``after_inner(p, args, result)`` sees every inner solve's positional
+    arguments (the carried state is ``args[8]``) and its result;
+    ``on_workspace(p, carried, args)`` sees every workspace built from the
+    carried vector, before it is built.
+    """
+    family, size, seed, random_start, variant, retries, lifts = case
+    p = generate(GenSpec(family=family, seed=seed, **size)).problem
+    w_initial = np.random.default_rng(seed).standard_normal(p.n) if random_start else None
+    real_inner_solve, real_workspace = dal.inner_solve, dal.inner_workspace
+    real_rebase = dal._CarriedProduct.rebase
+    carried, factors, lifted = [], [], []
+
+    def inner_solve(*args):
+        carried[:] = [args[8]]
+        factors.append(args[7])
+        result = real_inner_solve(*args)
+        if after_inner is not None:
+            after_inner(p, args, result)
+        return result
+
+    def inner_workspace(*args):
+        if on_workspace is not None and carried and args[4] is carried[0].design_t_alpha:
+            on_workspace(p, carried[0], args)
+        return real_workspace(*args)
+
+    def rebase(self, *args):
+        stale = ~self.exact
+        real_rebase(self, *args)
+        lifted.append(int(np.count_nonzero(self.exact[stale])))
+
+    monkeypatch.setattr(dal, "inner_solve", inner_solve)
+    monkeypatch.setattr(dal, "inner_workspace", inner_workspace)
+    monkeypatch.setattr(dal._CarriedProduct, "rebase", rebase)
+    report = solve(p, SolverConfig(outer_tolerance=1e-6, inner_variant=variant), w_initial)
+    assert report.converged
+    assert (min(factors) < 1.0) == retries
+    assert (max(lifted) > 0) == lifts
+
+
+class TestCarriedProduct:
+    """solve() carries one A^T alpha for the whole solve: exact, within
+    rounding, where ``exact`` is set, and elsewhere bounded so that the
+    column is inactive."""
+
+    @pytest.mark.parametrize("case", CARRIED_CASES, ids=CARRIED_IDS)
+    def test_matches_a_fresh_product_after_every_inner_solve(self, monkeypatch, case):
+        def check(p, args, result):
+            _, w, eta = args[:3]
+            carried = args[8]
+            fresh = p.design.T @ result[0]
+            np.testing.assert_array_equal(carried.shift, w / eta)
+            exact, stale = carried.exact, ~carried.exact
+            np.testing.assert_allclose(
+                carried.design_t_alpha[exact], fresh[exact], rtol=0, atol=1e-12 * p.lam
+            )
+            bound = np.abs(fresh[stale] + carried.shift[stale])
+            assert np.all(bound <= carried.upper[stale] + 1e-12 * p.lam)
+            assert np.all(carried.upper[stale] <= p.lam)
+
+        watched_solve(monkeypatch, case, after_inner=check)
+
+    @pytest.mark.parametrize("case", CARRIED_CASES, ids=CARRIED_IDS)
+    def test_no_stale_column_can_be_active_when_a_workspace_is_built(self, monkeypatch,
+                                                                     case):
+        def check(p, carried, args):
+            _, w, eta, alpha, _ = args
+            np.testing.assert_array_equal(carried.shift, w / eta)
+            stale = ~carried.exact
+            assert np.all(carried.upper[stale] <= p.lam)
+            # So the workspace's active set is a fresh product's, up to
+            # columns within rounding of lam.
+            fresh = np.abs(p.design.T @ alpha + w / eta)
+            q = np.abs(carried.design_t_alpha + w / eta)
+            clear = np.abs(fresh - p.lam) > 1e-12 * p.lam
+            np.testing.assert_array_equal((q > p.lam)[clear], (fresh > p.lam)[clear])
+
+        watched_solve(monkeypatch, case, on_workspace=check)
+
+    def test_rebase_makes_exact_the_stale_columns_it_lifts_above_lam(self):
+        p = generate(GenSpec(family="normal", m=32, seed=1)).problem
+        rng = np.random.default_rng(0)
+        alpha = 1e-3 * rng.standard_normal(p.m)
+        fresh = p.design.T @ alpha
+        carried = dal._CarriedProduct.start(p._column_norms, np.zeros(p.n), fresh)
+        # Columns 0-9 stale with a bound of 0.9*lam, their entries garbage.
+        stale = np.arange(10)
+        carried.exact[stale] = False
+        carried.upper[stale] = 0.9 * p.lam
+        carried.design_t_alpha[stale] = 1e9
+        shift = np.zeros(p.n)
+        shift[:4] = 0.2 * p.lam  # lifts the bounds of columns 0-3 above lam
+        shift[4:6] = 0.05 * p.lam  # and those of 4-5 to 0.95*lam
+        counted, counter = counting(p)
+        carried.rebase(counted, alpha, shift)
+        assert counter[0] == 0  # four columns are gathered
+        exact = np.ones(p.n, bool)
+        exact[4:10] = False
+        np.testing.assert_array_equal(carried.exact, exact)
+        np.testing.assert_allclose(carried.design_t_alpha[exact], fresh[exact], rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(carried.upper[:4], np.abs(fresh[:4] + shift[:4]))
+        np.testing.assert_allclose(carried.upper[4:6], 0.95 * p.lam)
+        np.testing.assert_array_equal(carried.upper[6:10], 0.9 * p.lam)
+
+    def test_rebase_makes_one_full_product_when_gathering_does_not_pay(self):
+        p = generate(GenSpec(family="normal", m=32, seed=1)).problem
+        alpha = 1e-3 * np.random.default_rng(0).standard_normal(p.m)
+        fresh = p.design.T @ alpha
+        carried = dal._CarriedProduct.start(p._column_norms, np.zeros(p.n), fresh)
+        carried.exact[:] = False
+        carried.upper[:] = 0.9 * p.lam
+        carried.design_t_alpha[:] = 1e9
+        shift = np.full(p.n, 0.2 * p.lam)  # every column lifted: n > n/4
+        counted, counter = counting(p)
+        carried.rebase(counted, alpha, shift)
+        assert counter[0] == 1
+        assert carried.exact.all()
+        np.testing.assert_allclose(carried.design_t_alpha, fresh, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(carried.upper, np.abs(fresh + shift))
+
+    @pytest.mark.parametrize("variant", ["cholesky", "pcg"])
+    def test_first_line_search_from_zero_makes_no_full_product(self, monkeypatch,
+                                                               variant):
+        p = generate(GenSpec(family="largescale", n=4096, seed=1)).problem
+        counted, counter = counting(p)
+        real_line_search = dal._line_search
+        searches = []
+
+        def line_search(ws, direction, grad, carried):
+            # The columns the sphere test flags: too many to gather.
+            reach = np.linalg.norm(direction) * carried.norms
+            flagged = int(np.count_nonzero(carried.upper + reach > p.lam))
+            before = counter[0]
+            result = real_line_search(ws, direction, grad, carried)
+            searches.append((ws.active.size, flagged, counter[0] - before))
+            return result
+
+        monkeypatch.setattr(dal, "_line_search", line_search)
+        report = solve(counted, SolverConfig(inner_variant=variant))
+        assert report.converged
+        active, flagged, products = searches[0]
+        assert active == 0
+        assert not dal._gather_pays(p, flagged)
+        assert products == 0
