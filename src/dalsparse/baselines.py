@@ -106,20 +106,18 @@ def bb_step(
     w_curr: np.ndarray,
     grad_prev: np.ndarray,
     grad_curr: np.ndarray,
-    tau_min: float = TAU_MIN,
-    tau_max: float = TAU_MAX,
 ) -> float:
-    """Barzilai-Borwein step s^T s / s^T y, clamped to [tau_min, tau_max].
+    """Barzilai-Borwein step s^T s / s^T y, clamped to [TAU_MIN, TAU_MAX].
 
     ``y`` uses gradients of the smooth part A^T(A w - b); non-positive
-    curvature s^T y falls back to tau_max.
+    curvature s^T y falls back to TAU_MAX.
     """
     s = np.asarray(w_curr, dtype=float) - np.asarray(w_prev, dtype=float)
     y = np.asarray(grad_curr, dtype=float) - np.asarray(grad_prev, dtype=float)
     sty = float(s @ y)
     if sty <= 0.0:
-        return tau_max
-    return min(max(float(s @ s) / sty, tau_min), tau_max)
+        return TAU_MAX
+    return min(max(float(s @ s) / sty, TAU_MIN), TAU_MAX)
 
 
 def ist_solve(

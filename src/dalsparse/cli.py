@@ -270,14 +270,16 @@ def _aggregate_path(out: str) -> str:
 
 
 def _check_output_dirs(args) -> None:
-    """Raise an ``OSError`` (exit 3) if an output path is a directory or its
-    directory is missing."""
+    """Raise an ``OSError`` (exit 3) if an output path is empty, is a
+    directory or its directory is missing."""
     paths = [vars(args).get("out"), vars(args).get("csv")]
     if args.command == "bench":
         paths.append(_aggregate_path(args.out))
     for path in paths:
         if path is None:
             continue
+        if path == "":
+            raise FileNotFoundError(errno.ENOENT, "empty output path", path)
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if not os.path.isdir(os.path.dirname(path) or "."):

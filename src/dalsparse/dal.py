@@ -51,10 +51,10 @@ adds nothing to the trial objectives, and only has its bound grown by
 ``A^T d``, and makes the stale entries exact as well: gathered when they are
 few, else by a second full product.  A Newton step from an empty active set
 is ``d = b - alpha`` for both inner variants, so its search takes ``A^T d =
-A^T b - A^T alpha`` from the start's ``A^T b`` and makes no product; from
+A^T b - A^T alpha`` from the problem's ``A^T b`` and makes no product; from
 ``w = 0`` that is the first search, where nearly every column can cross lam.
-The column norms are computed once per problem
-(``ProblemInstance._column_norms``).
+The column norms and ``A^T b`` are computed once per problem
+(``ProblemInstance._column_norms`` and ``_design_t_b``).
 
 Between outer iterations the carried vector is rebased, not refreshed.  After
 the last accepted step every stale column has |q_j| <= lam, so the
@@ -74,15 +74,15 @@ gives a duality gap in O(m + n).  Only when that gap meets the tolerance
 does the solver form ``A^T (A w - b)`` for the residual certificate of
 :mod:`dalsparse.certificates`, and it stops only on the latter, so the
 returned ``w`` is certified from its own residual.  A solve therefore makes
-``residual certificates + 1`` full-design products (one per residual
-certificate, and ``A^T b`` at the start), plus one or two per line search
+one full-design product per residual certificate, +1 on a problem's first
+solve (``A^T b``, cached on the problem), plus one or two per line search
 that cannot gather its columns, and one per rebase whose lifted columns are
 too many to gather: near the start every column can cross lam and most
 Newton steps cost a full product, while in the later, sparse steps most
 cost none.  Masked workspaces (see :class:`InnerWorkspace`) and a dense
 iterate's ``A w`` add to it.
 
-That first product also places the starting multiplier: alpha starts at
+``A^T b`` also places the starting multiplier: alpha starts at
 ``b`` scaled into the dual feasible set ``||A^T alpha||_inf <= lam``, and its
 ``A^T alpha`` is ``A^T b`` scaled by the same factor.  From ``w = 0`` the
 first active set is then empty, so the first Newton step is a gradient step
@@ -145,7 +145,8 @@ counters = OpCounters()
 # eta grows by _ETA_GROWTH up to _ETA_CAP; one PCG solve takes at most
 # _PCG_MAX_ITERS iterations; a line search shrinks its step by _LS_SHRINK
 # until the Armijo test with factor _LS_SUFFICIENT_DECREASE holds, and gives
-# up below _MIN_STEP.
+# up below _MIN_STEP; one inner solve takes at most _MAX_INNER_NEWTON Newton
+# steps.
 _EPS_INITIAL_SCALE = 1e-4
 _EPS_SHRINK = 0.5
 _EPS_FLOOR = 1e-12
@@ -155,25 +156,25 @@ _PCG_MAX_ITERS = 500
 _LS_SHRINK = 0.5
 _LS_SUFFICIENT_DECREASE = 1e-4
 _MIN_STEP = 1e-16
+_MAX_INNER_NEWTON = 100
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Start, tolerances and caps for :func:`solve`: five fields.
+    """Start, tolerance, outer cap and inner variant for :func:`solve`: four fields.
 
     ``eta_initial=None`` means ``1/lam``; either is capped at ``_ETA_CAP``
     (:func:`_starting_eta`) and doubles per outer iteration (``_ETA_GROWTH``).
     The inner solve stops on primal progress (see the module docstring) or
     at the gradient-norm floor eps_k, which starts at ``1e-4*sqrt(m)`` and
-    halves per outer iteration (``_EPS_SHRINK``); ``max_inner_newton`` caps
-    its Newton steps.  ``max_outer`` and ``max_inner_newton`` are integers of
-    at least 1.
+    halves per outer iteration (``_EPS_SHRINK``), and takes at most
+    ``_MAX_INNER_NEWTON`` Newton steps.  ``max_outer`` is an integer of at
+    least 1.
     """
 
     eta_initial: float | None = None
     outer_tolerance: float = 1e-3
     max_outer: int = 100
-    max_inner_newton: int = 100
     inner_variant: str = "cholesky"
 
     def __post_init__(self):
@@ -181,7 +182,6 @@ class SolverConfig:
             _check_positive("eta_initial", self.eta_initial)
         _check_positive("outer_tolerance", self.outer_tolerance)
         _check_cap("max_outer", self.max_outer)
-        _check_cap("max_inner_newton", self.max_inner_newton)
         if self.inner_variant not in INNER_VARIANTS:
             raise ValueError(f"inner_variant must be one of {INNER_VARIANTS}")
 
@@ -200,7 +200,7 @@ class SolveReport:
     meets the tolerance; entries that skipped it hold that multiplier gap,
     which is still a sound upper bound.  ``relative_gap`` of a converged
     solve is always the residual gap.  ``inner_cap_hits`` counts inner solves
-    that reached ``max_inner_newton`` without meeting their stop rule.
+    that reached ``_MAX_INNER_NEWTON`` without meeting their stop rule.
     ``wall_time_seconds`` runs from the solver's entry to its return.
     """
 
@@ -477,24 +477,20 @@ class _CarriedProduct:
     is |q_j| itself, for q_j = (A^T alpha)_j + shift_j.  Elsewhere
     ``design_t_alpha`` holds its value at an earlier alpha, and all that is
     known is |q_j| <= upper_j <= lam: the column is inactive.  ``shift`` is
-    w/eta and ``norms`` holds the column norms ||a_j||.  ``design_t_b`` is
-    ``A^T b`` when the solve holds it, else None.
+    w/eta.
     """
 
-    norms: np.ndarray
     shift: np.ndarray
     design_t_alpha: np.ndarray
     upper: np.ndarray
     exact: np.ndarray
-    design_t_b: np.ndarray | None = None
 
     @classmethod
-    def start(cls, norms, shift, design_t_alpha, design_t_b=None):
+    def start(cls, shift, design_t_alpha):
         """Exact everywhere: ``design_t_alpha`` is a fresh ``A^T alpha``,
         copied, so the caller's array is never changed."""
         dta = np.array(design_t_alpha, dtype=float)
-        exact = np.ones(dta.size, bool)
-        return cls(norms, shift, dta, np.abs(dta + shift), exact, design_t_b)
+        return cls(shift, dta, np.abs(dta + shift), np.ones(dta.size, bool))
 
     def make_exact(self, p, alpha, cols):
         """Make the entries on ``cols`` exact at ``alpha``: gathered when that
@@ -507,13 +503,12 @@ class _CarriedProduct:
             self.exact[:] = True
 
     def toward_b(self, p, alpha, direction):
-        """``A^T d`` for d = b - alpha, as ``A^T b - A^T alpha`` and without a
-        product, when every entry is exact; None for any other d."""
-        if self.design_t_b is None or not self.exact.all():
+        """``A^T d`` for d = b - alpha, as ``A^T b - A^T alpha`` from the
+        problem's cached ``A^T b``, when every entry is exact; None for any
+        other d."""
+        if not self.exact.all() or not np.array_equal(direction, p.observations - alpha):
             return None
-        if not np.array_equal(direction, p.observations - alpha):
-            return None
-        return self.design_t_b - self.design_t_alpha
+        return p._design_t_b - self.design_t_alpha
 
     def advance(self, cols, step, design_t_dir, reach):
         """Move to alpha + step*d: exact on ``cols``, where ``design_t_dir``
@@ -554,15 +549,15 @@ def _line_search(ws, direction, grad, carried):
     otherwise one full product forms ``A^T d`` (after the stale entries are
     made exact, if there are any) and the objectives run over every column.
     A direction of exactly ``b - alpha`` (the Newton step from an empty
-    active set) takes ``A^T d`` from the carried ``A^T b`` instead, when
-    :meth:`_CarriedProduct.toward_b` has it, and makes no product.
+    active set) takes ``A^T d`` from the problem's ``A^T b`` instead, when
+    every carried entry is exact (:meth:`_CarriedProduct.toward_b`).
     """
     p, eta, alpha = ws.p, ws.eta, ws.alpha
     slope = float(grad @ direction)
     if slope >= 0.0:
         direction = -grad
         slope = -float(grad @ grad)
-    reach = float(np.linalg.norm(direction)) * carried.norms
+    reach = float(np.linalg.norm(direction)) * p._column_norms
     design_t_dir = carried.toward_b(p, alpha, direction)
     cols = slice(None)
     if design_t_dir is None:
@@ -608,7 +603,7 @@ def backtracking_line_search(
     direction = _vector(direction, p.m, "direction")
     design_t_alpha = p.design.T @ alpha
     ws = inner_workspace(p, w, eta, alpha, design_t_alpha)
-    carried = _CarriedProduct.start(p._column_norms, w / eta, design_t_alpha)
+    carried = _CarriedProduct.start(w / eta, design_t_alpha)
     return _line_search(ws, direction, _gradient(ws), carried)
 
 
@@ -645,7 +640,7 @@ def inner_solve(
     carried: _CarriedProduct | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Newton-iterate the inner problem from ``alpha_start`` until the gradient
-    norm falls to ``eps`` or the iteration cap is reached.
+    norm falls to ``eps`` or ``_MAX_INNER_NEWTON`` steps are taken.
 
     With ``progress_factor`` the loop also stops once the gradient norm is at
     most ``progress_factor * ||ST_{lam*eta}(w + eta*A^T alpha) - w|| /
@@ -660,12 +655,14 @@ def inner_solve(
     the rest, and each line search reads only the columns its step can lift
     above lam (by the cached column norms): a gathered pass over them when
     gathering pays, else one full-design product, plus one more when stale
-    entries are too many to gather.  ``carried`` is :func:`solve`'s state at
-    ``alpha_start`` and shift ``w/eta``, whose stale entries are inactive; it
-    is advanced in place to the returned alpha, and ``design_t_alpha`` is then
-    not read.  Without it the state starts here, exact everywhere, from
-    ``design_t_alpha`` (= ``A^T alpha_start``, to reuse a product a solver
-    loop computed) or from a fresh product.
+    entries are too many to gather; a search along exactly ``b - alpha``
+    reads the problem's cached ``A^T b`` and makes none.  ``carried`` is
+    :func:`solve`'s state at ``alpha_start`` and shift ``w/eta``, whose stale
+    entries are inactive; it is advanced in place to the returned alpha, and
+    ``design_t_alpha`` is then not read (:func:`solve` passes None).  Without
+    it the state starts here, exact everywhere, from ``design_t_alpha`` (=
+    ``A^T alpha_start``, to reuse a product a solver loop computed) or from a
+    fresh product.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -678,10 +675,10 @@ def inner_solve(
     if carried is None:
         if design_t_alpha is None:
             design_t_alpha = p.design.T @ alpha
-        carried = _CarriedProduct.start(p._column_norms, w / eta, design_t_alpha)
+        carried = _CarriedProduct.start(w / eta, design_t_alpha)
     newton_iters = 0
     pcg_iters = 0
-    for _ in range(config.max_inner_newton):
+    for _ in range(_MAX_INNER_NEWTON):
         ws = inner_workspace(p, w, eta, alpha, carried.design_t_alpha)
         grad = _gradient(ws)
         gnorm = float(np.linalg.norm(grad))
@@ -749,26 +746,23 @@ def solve(
     primal = math.inf
     gap = math.inf
     # Start at b scaled into the dual feasible set, as certificates scale
-    # their candidates (see the module docstring).  The carried state keeps
-    # its own copy of the start's A^T alpha, and A^T b for the first search.
-    design_t_b = p.design.T @ p.observations
-    scale = _feasible_scale(p, design_t_b)
+    # their candidates (see the module docstring), with the carried state at
+    # that alpha.
+    scale = _feasible_scale(p, p._design_t_b)
     alpha = scale * p.observations
-    start_product = scale * design_t_b
-    carried = _CarriedProduct.start(p._column_norms, w / eta, start_product, design_t_b)
+    carried = _CarriedProduct.start(w / eta, scale * p._design_t_b)
     for k in range(1, config.max_outer + 1):
         retry = 1.0
         while True:
             eps_inner = max(retry * eps, _EPS_FLOOR)
             alpha, n_newton, n_pcg = inner_solve(
-                p, w, eta, eps_inner, alpha, config, start_product, retry, carried
+                p, w, eta, eps_inner, alpha, config, None, retry, carried
             )
-            start_product = None
             newton_total += n_newton
             pcg_total += n_pcg
             # Cap hits count the first-pass solve against its own stop rule,
             # not the descent retries below that refine it.
-            if retry == 1.0 and n_newton >= config.max_inner_newton:
+            if retry == 1.0 and n_newton >= _MAX_INNER_NEWTON:
                 ws = inner_workspace(p, w, eta, alpha, carried.design_t_alpha)
                 gnorm = float(np.linalg.norm(_gradient(ws)))
                 if not _inner_done(ws, w, gnorm, eps, retry):

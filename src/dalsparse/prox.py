@@ -65,8 +65,9 @@ class ProblemInstance:
 
     Requires m, n >= 1 and a finite lam > 0.  The design is kept dense and
     column-major (Fortran) so that gathering active columns is contiguous.
-    Its column norms are computed on first use and cached, so a design must
-    not be modified in place after its first solve.
+    Its column norms and ``A^T b`` are computed on first use and cached, so
+    neither the design nor the observations may be modified in place after
+    the first solve.
     """
 
     design: np.ndarray
@@ -103,6 +104,11 @@ class ProblemInstance:
         products does not count this pass."""
         rows = np.asarray(self.design).T
         return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
+
+    @cached_property
+    def _design_t_b(self) -> np.ndarray:
+        """A^T b, through ``self.design``: a full product, made once per problem."""
+        return self.design.T @ self.observations
 
 
 def _starting_point(p: ProblemInstance, w_initial: np.ndarray | None) -> np.ndarray:

@@ -20,7 +20,7 @@ from dalsparse import (
     soft_threshold,
 )
 from dalsparse import baselines
-from dalsparse.baselines import NONMONOTONE_MEMORY
+from dalsparse.baselines import NONMONOTONE_MEMORY, TAU_MAX, TAU_MIN
 from oracles import cd_lasso
 
 
@@ -100,17 +100,28 @@ class TestBBStep:
         w_curr = np.ones(3)
         g_prev = np.ones(3)
         g_curr = np.zeros(3)  # s^T y = -3
-        assert bb_step(w_prev, w_curr, g_prev, g_curr, tau_max=123.0) == 123.0
+        assert bb_step(w_prev, w_curr, g_prev, g_curr) == TAU_MAX
 
     def test_always_clamped(self):
+        # Gradient changes scaled by 1e-12 and 1e12 put the raw step s^T s /
+        # s^T y above TAU_MAX and below TAU_MIN, so both clamps are hit.
         rng = np.random.default_rng(35)
-        for _ in range(50):
-            w_prev = rng.standard_normal(6)
-            w_curr = rng.standard_normal(6)
-            g_prev = rng.standard_normal(6)
-            g_curr = rng.standard_normal(6)
-            tau = bb_step(w_prev, w_curr, g_prev, g_curr, 1e-2, 1e2)
-            assert 1e-2 <= tau <= 1e2
+        raw_outside = set()
+        for scale in (1e-12, 1.0, 1e12):
+            for _ in range(50):
+                w_prev = rng.standard_normal(6)
+                w_curr = rng.standard_normal(6)
+                g_prev = scale * rng.standard_normal(6)
+                g_curr = scale * rng.standard_normal(6)
+                s, y = w_curr - w_prev, g_curr - g_prev
+                raw = float(s @ s) / float(s @ y)
+                if raw > TAU_MAX:
+                    raw_outside.add("above")
+                elif 0 < raw < TAU_MIN:
+                    raw_outside.add("below")
+                tau = bb_step(w_prev, w_curr, g_prev, g_curr)
+                assert TAU_MIN <= tau <= TAU_MAX
+        assert raw_outside == {"above", "below"}
 
 
 class TestIstSolve:

@@ -141,7 +141,7 @@ def _report(report):
 
 # Every public function that takes a problem and a vector, once per vector
 # argument: (argument, call(p, value)), the other arguments filled in.
-_SHORT = SolverConfig(max_outer=3, max_inner_newton=3)
+_SHORT = SolverConfig(max_outer=3)
 VECTOR_CALLS = {
     "dual_certificate": ("w", lambda p, v: astuple(dual_certificate(p, v))),
     "relative_duality_gap": ("w", relative_duality_gap),

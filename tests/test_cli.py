@@ -1021,3 +1021,20 @@ class TestBenchOutputPaths:
         assert "Is a directory" in stderr
         assert generate_calls == []
         assert [p.name for p in tmp_path.iterdir()] == [paths[flag].name]
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--family", "normal", "--sizes", "16", "--seeds", "1..3",
+         "--solvers", "dal-cg", "--out", ""],
+        ["gen", "--family", "normal", "--m", "16", "--seed", "3", "--out", ""],
+        ["gen", "--family", "normal", "--m", "16", "--seed", "3", "--csv", ""],
+    ], ids=["bench-out", "gen-out", "gen-csv"])
+    def test_empty_output_path_fails_first(self, tmp_path, capsys, monkeypatch,
+                                           generate_calls, argv):
+        # Run in an empty directory, where gen's default --out would land.
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run_main(argv, capsys)
+        assert code == cli.EXIT_DATA
+        assert "error:" in stderr
+        assert stdout == ""
+        assert generate_calls == []
+        assert list(tmp_path.iterdir()) == []

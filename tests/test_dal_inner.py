@@ -435,7 +435,7 @@ class TestInnerSolve:
                 eta = rng.uniform(1, 500)
                 eps = 1e-8
                 alpha, iters, _ = inner_solve(p, w, eta, eps, p.observations, cfg)
-                if iters >= cfg.max_inner_newton:
+                if iters >= dal._MAX_INNER_NEWTON:
                     capped += 1
                     continue
                 grad = inner_gradient(p, w, eta, alpha)
@@ -495,7 +495,7 @@ class TestProgressStopRule:
                 assert n_rule <= n_eps
                 steps_eps += n_eps
                 steps_rule += n_rule
-                if n_rule >= cfg.max_inner_newton:
+                if n_rule >= dal._MAX_INNER_NEWTON:
                     continue
                 gnorm = np.linalg.norm(inner_gradient(p, w, eta, alpha))
                 assert gnorm <= max(eps, multiplier_step(p, w, eta, alpha))

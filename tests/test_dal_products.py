@@ -3,8 +3,9 @@ A^T alpha reuse arguments, and the A^T alpha a solve carries.
 
 A solve carries one ``A^T alpha`` from its start to its end: exact on the
 columns that can be active, and bounded by lam elsewhere.  It makes one
-product with the whole design at the start (``A^T b``), and one per residual
-duality-gap certificate, which it forms only once the certificate of its own
+product with the whole design at the start of a problem's first solve
+(``A^T b``, cached on the problem), and one per residual duality-gap
+certificate, which it forms only once the certificate of its own
 multiplier meets the tolerance.  A line search makes at most one full
 product, or two when stale entries of the carried vector need one: when the
 columns its step can lift above lam are few enough to gather, it reads only
@@ -95,6 +96,15 @@ class TestProductBudget:
         # Line searches over few enough columns gather them instead, so the
         # count falls below one per Newton step plus one per outer iteration.
         assert full_products < report.inner_newton_iters + report.outer_iters + 1
+
+    def test_later_solves_reuse_the_problems_design_t_b(self):
+        p = generate(GenSpec(family="largescale", n=4096, seed=1)).problem
+        counted, counter = counting(p)
+        config = SolverConfig(inner_variant="cholesky")
+        solve(counted, config)
+        first = counter[0]
+        solve(counted, config)
+        assert counter[0] - first == first - 1
 
 
 def assert_within_certified_budget(problem, tol, monkeypatch):
@@ -313,7 +323,7 @@ class TestCarriedProduct:
         rng = np.random.default_rng(0)
         alpha = 1e-3 * rng.standard_normal(p.m)
         fresh = p.design.T @ alpha
-        carried = dal._CarriedProduct.start(p._column_norms, np.zeros(p.n), fresh)
+        carried = dal._CarriedProduct.start(np.zeros(p.n), fresh)
         # Columns 0-9 stale with a bound of 0.9*lam, their entries garbage.
         stale = np.arange(10)
         carried.exact[stale] = False
@@ -338,7 +348,7 @@ class TestCarriedProduct:
         p = generate(GenSpec(family="normal", m=32, seed=1)).problem
         alpha = 1e-3 * np.random.default_rng(0).standard_normal(p.m)
         fresh = p.design.T @ alpha
-        carried = dal._CarriedProduct.start(p._column_norms, np.zeros(p.n), fresh)
+        carried = dal._CarriedProduct.start(np.zeros(p.n), fresh)
         carried.exact[:] = False
         carried.upper[:] = 0.9 * p.lam
         carried.design_t_alpha[:] = 1e9
@@ -360,7 +370,7 @@ class TestCarriedProduct:
 
         def line_search(ws, direction, grad, carried):
             # The columns the sphere test flags: too many to gather.
-            reach = np.linalg.norm(direction) * carried.norms
+            reach = np.linalg.norm(direction) * p._column_norms
             flagged = int(np.count_nonzero(carried.upper + reach > p.lam))
             before = counter[0]
             result = real_line_search(ws, direction, grad, carried)

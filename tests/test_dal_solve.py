@@ -166,11 +166,11 @@ class TestSolve:
         assert report.outer_iters == 2
         assert report.relative_gap > 1e-12
 
-    def test_inner_cap_hits_reported(self):
+    def test_inner_cap_hits_reported(self, monkeypatch):
         rng = np.random.default_rng(30)
         p = gaussian_problem(rng)
-        cfg = SolverConfig(outer_tolerance=1e-10, max_outer=6, max_inner_newton=1,
-                           eta_initial=1e6)
+        monkeypatch.setattr(dal, "_MAX_INNER_NEWTON", 1)
+        cfg = SolverConfig(outer_tolerance=1e-10, max_outer=6, eta_initial=1e6)
         report = solve(p, cfg)
         assert report.inner_cap_hits > 0
 
@@ -190,7 +190,8 @@ class TestSolve:
             return result
 
         monkeypatch.setattr(dal, "inner_solve", inner_solve)
-        report = solve(p, SolverConfig(max_inner_newton=2))
+        monkeypatch.setattr(dal, "_MAX_INNER_NEWTON", 2)
+        report = solve(p, SolverConfig())
         assert report.converged
         assert 0 < report.inner_cap_hits < full_first_passes
 
@@ -221,13 +222,14 @@ class TestFeasibleStart:
         calls = []
 
         def inner_solve(*args):
-            calls.append(args)
+            # The carried state is advanced in place: copy its product now.
+            calls.append((args[4], args[8].design_t_alpha.copy()))
             return real_inner_solve(*args)
 
         monkeypatch.setattr(dal, "inner_solve", inner_solve)
         report = solve(p, SolverConfig(inner_variant=variant), w_initial)
         assert report.converged
-        return calls[0][4], calls[0][6]  # alpha_start, design_t_alpha
+        return calls[0]  # alpha_start, the carried A^T alpha
 
     @pytest.mark.parametrize("variant", ["cholesky", "pcg"])
     @pytest.mark.parametrize("init", ["zero", "random"])
@@ -289,7 +291,7 @@ class TestSchedule:
 
 
 class TestSolverConfigValidation:
-    @pytest.mark.parametrize("field", ["max_outer", "max_inner_newton"])
+    @pytest.mark.parametrize("field", ["max_outer"])
     def test_caps_must_be_positive_integers(self, field):
         for bad in (2.5, 1.5, 0, -1, "3", True):
             with pytest.raises(ValueError):
