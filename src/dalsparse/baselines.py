@@ -136,8 +136,8 @@ def ist_solve(
     nonzero columns of a sparse trial (:func:`dalsparse.prox._residual`); the
     gradient is formed only for the accepted point.  ``outer_iters`` counts
     accepted steps, and ``objective_trace`` holds one value per accepted
-    iterate.  Reports in the same shape as the main solver;
-    ``inner_newton_iters`` and ``pcg_iters_total`` stay zero.
+    iterate.  Reports in the same shape as the main solver, with DAL's inner
+    effort counts left at their default of 0.
 
     Each solve makes one :func:`estimate_spectral_norm_sq` of the design,
     counted in ``wall_time_seconds``, and starts at ``tau = 1/L`` (1 when the
@@ -195,12 +195,9 @@ def ist_solve(
         primal_value=primal,
         relative_gap=gap,
         outer_iters=iters,
-        inner_newton_iters=0,
-        pcg_iters_total=0,
         wall_time_seconds=wall,
         nnz_fraction=float(np.count_nonzero(w)) / p.n,
         converged=converged,
-        inner_cap_hits=0,
         objective_trace=objective_trace,
         gap_trace=gap_trace,
     )

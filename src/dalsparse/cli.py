@@ -25,11 +25,12 @@ default to :class:`~dalsparse.probgen.GenSpec`'s fields.
 Exit codes: 0 success (non-convergence is data, not failure), 2 usage,
 3 data/format/IO, 4 internal numeric error.  :func:`main` is the one
 usage-error path: each input is checked by the code that owns its rule
-(``SolverConfig``, ``IstConfig``, ``GenSpec``, ``resolve_spec``, and
-:mod:`~dalsparse.probgen`'s key range for ``--w-init random:SEED``) before
-anything is loaded, generated or solved, and a ``ValueError`` becomes
-argparse's usage error; an output path that is a directory, or whose
-directory is missing, exits 3 before any work.
+(``SolverConfig`` and ``IstConfig``, both built only by :func:`_config`,
+``GenSpec``, ``resolve_spec``, and :mod:`~dalsparse.probgen`'s key range for
+``--w-init random:SEED``) before anything is loaded, generated or solved,
+and a ``ValueError`` becomes argparse's usage error; an output path that is
+a directory, or whose directory is missing, or two outputs that are one
+file, exit 3 before any work.
 ``bench`` runs instances on a pool of ``--workers`` (at least 1) threads, by
 default and at most a set ``DAL_NUM_THREADS`` (a positive integer), and
 cancels the queued ones when one raises an error it does not record, or on
@@ -116,6 +117,18 @@ def _resolved_eta(solver: str, problem, eta_initial: float | None) -> float | No
     return dal._starting_eta(problem, eta_initial)
 
 
+def _config(solver: str, tol: float, eta_initial: float | None, max_outer: int,
+            max_ist_iters: int) -> SolverConfig | IstConfig:
+    """The config solver id ``solver`` runs with; ``ValueError`` on a bad flag or id."""
+    if solver in _DAL_VARIANTS:
+        return SolverConfig(eta_initial=eta_initial, outer_tolerance=tol,
+                            max_outer=max_outer, inner_variant=_DAL_VARIANTS[solver])
+    if solver in _IST_RULES:
+        return IstConfig(step_rule=_IST_RULES[solver], tolerance=tol,
+                         max_iters=max_ist_iters)
+    raise ValueError(f"unknown solver {solver!r}; choose from {SOLVER_IDS}")
+
+
 def run_solver(
     solver: str,
     problem,
@@ -126,20 +139,9 @@ def run_solver(
     w_initial: np.ndarray | None = None,
 ) -> tuple[SolveReport, float | None]:
     """Dispatch one of the four solver ids; returns (report, eta actually used)."""
-    eta = _resolved_eta(solver, problem, eta_initial)
-    if solver in _DAL_VARIANTS:
-        config = SolverConfig(
-            eta_initial=eta,
-            outer_tolerance=tol,
-            max_outer=max_outer,
-            inner_variant=_DAL_VARIANTS[solver],
-        )
-        return solve(problem, config, w_initial), eta
-    if solver in _IST_RULES:
-        config = IstConfig(step_rule=_IST_RULES[solver], tolerance=tol,
-                           max_iters=max_ist_iters)
-        return ist_solve(problem, config, w_initial), None
-    raise ValueError(f"unknown solver {solver!r}")
+    config = _config(solver, tol, eta_initial, max_outer, max_ist_iters)
+    run = solve if solver in _DAL_VARIANTS else ist_solve
+    return run(problem, config, w_initial), _resolved_eta(solver, problem, eta_initial)
 
 
 def _run_and_record(
@@ -269,29 +271,38 @@ def _aggregate_path(out: str) -> str:
     return f"{root}_agg{ext or '.csv'}"
 
 
+def _gen_out(args) -> str:
+    """Where ``gen`` writes the container: ``--out``, else a name from the
+    resolved spec."""
+    if args.out is not None:
+        return args.out
+    spec = probgen.resolve_spec(_gen_spec_from_args(args))
+    return f"{spec.family}_m{spec.m}_n{spec.n}_seed{spec.seed}.dalp"
+
+
 def _check_output_dirs(args) -> None:
     """Raise an ``OSError`` (exit 3) if an output path is empty, is a
-    directory or its directory is missing."""
-    paths = [vars(args).get("out"), vars(args).get("csv")]
-    if args.command == "bench":
-        paths.append(_aggregate_path(args.out))
+    directory or its directory is missing, or if two outputs are one file."""
+    if args.command == "solve":
+        return
+    paths = ([_gen_out(args), args.csv] if args.command == "gen"
+             else [args.out, _aggregate_path(args.out)])
+    paths = [path for path in paths if path is not None]
     for path in paths:
-        if path is None:
-            continue
         if path == "":
             raise FileNotFoundError(errno.ENOENT, "empty output path", path)
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"no directory for output {path!r}")
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise OSError(f"outputs {paths} name one file")
 
 
 def _cmd_gen(args) -> int:
     generated = probgen.generate(_gen_spec_from_args(args))
     p = generated.problem
-    out = args.out
-    if out is None:
-        out = f"{args.family}_m{p.m}_n{p.n}_seed{args.seed}.dalp"
+    out = _gen_out(args)
     probgen.save_problem(out, generated)
     if args.csv is not None:
         probgen.export_problem_csv(args.csv, generated)
@@ -302,12 +313,9 @@ def _cmd_gen(args) -> int:
 
 
 def _check_solver_flags(args, solvers: list[str]) -> None:
-    """Build the configs ``solvers`` will run with, so a bad flag raises now."""
-    if any(s in _DAL_VARIANTS for s in solvers):
-        SolverConfig(eta_initial=args.eta1, outer_tolerance=args.tol,
-                     max_outer=args.max_outer)
-    if any(s not in _DAL_VARIANTS for s in solvers):
-        IstConfig(tolerance=args.tol, max_iters=args.max_ist_iters)
+    """Build the config each of ``solvers`` runs with, so a bad flag raises now."""
+    for solver in solvers:
+        _config(solver, args.tol, args.eta1, args.max_outer, args.max_ist_iters)
 
 
 def _cmd_solve(args) -> int:
@@ -406,9 +414,6 @@ def _cmd_bench(args) -> int:
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     if not (sizes and seeds and solvers):
         raise ValueError("--sizes, --seeds and --solvers must not be empty")
-    unknown = [s for s in solvers if s not in SOLVER_IDS]
-    if unknown:
-        raise ValueError(f"unknown solvers {unknown}; choose from {SOLVER_IDS}")
     _check_solver_flags(args, solvers)
     size_field = "n" if args.family == "largescale" else "m"
     specs = [probgen.resolve_spec(GenSpec(family=args.family, seed=seed,

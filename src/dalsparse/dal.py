@@ -199,23 +199,24 @@ class SolveReport:
     forms the residual certificate only once the gap of its scaled multiplier
     meets the tolerance; entries that skipped it hold that multiplier gap,
     which is still a sound upper bound.  ``relative_gap`` of a converged
-    solve is always the residual gap.  ``inner_cap_hits`` counts inner solves
+    solve is always the residual gap.  ``wall_time_seconds`` runs from the
+    solver's entry to its return.  The last three counts are DAL's inner
+    effort and stay 0 for IST: Newton steps, CG iterations, and inner solves
     that reached ``_MAX_INNER_NEWTON`` without meeting their stop rule.
-    ``wall_time_seconds`` runs from the solver's entry to its return.
     """
 
     w_final: np.ndarray
     primal_value: float
     relative_gap: float
     outer_iters: int
-    inner_newton_iters: int
-    pcg_iters_total: int
     wall_time_seconds: float
     nnz_fraction: float
     converged: bool
-    inner_cap_hits: int
     objective_trace: list[float]
     gap_trace: list[float]
+    inner_newton_iters: int = 0
+    pcg_iters_total: int = 0
+    inner_cap_hits: int = 0
 
 
 # The line search's gathered products work in blocks of this many elements,
@@ -387,9 +388,14 @@ def cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solve_triangular(factor, half, lower=True, trans="T", check_finite=False)
 
 
-def _newton_cholesky(ws, grad):
+def _check_gradient(grad):
+    """Reject a non-finite gradient before any Hessian product is made."""
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient passed to Newton solve")
+
+
+def _newton_cholesky(ws, grad):
+    _check_gradient(grad)
     if ws.active.size == 0:
         return -grad
     hess, cols = ws.smaller_gram()
@@ -416,13 +422,15 @@ def newton_direction_cholesky(
     With k active columns and k < m the factored matrix is the k x k
     I + eta*A+^T A+, and y = -grad + eta*A+ (I + eta*A+^T A+)^{-1} A+^T grad
     (Sherman-Morrison-Woodbury); otherwise it is the m x m Hessian itself.
-    Either way the workspace adds k to :data:`counters`.
+    Either way the workspace adds k to :data:`counters`.  A non-finite
+    ``grad`` raises :class:`NumericError` before any of it.
     """
     ws = inner_workspace(p, w, eta, alpha)
     return _newton_cholesky(ws, _vector(grad, p.m, "grad"))
 
 
 def _newton_pcg(ws, grad, tol, max_iters):
+    _check_gradient(grad)
     diag = 1.0 + ws.eta * ws.diag()
     rhs = -grad
     rhs_norm = float(np.linalg.norm(rhs))
@@ -463,8 +471,12 @@ def newton_direction_pcg(
     The Hessian I + eta*A+ A+^T is applied matrix-free; iteration stops once
     the residual drops below ``tol`` times the gradient norm or after
     ``max_iters`` applications (truncation is a valid outcome).  Returns the
-    direction and the number of CG iterations spent.
+    direction and the number of CG iterations spent.  ``tol`` must be finite
+    and positive and ``max_iters`` an integer of at least 1.  A non-finite
+    ``grad`` raises :class:`NumericError` before any Hessian product.
     """
+    _check_positive("tol", tol)
+    _check_cap("max_iters", max_iters)
     ws = inner_workspace(p, w, eta, alpha)
     return _newton_pcg(ws, _vector(grad, p.m, "grad"), tol, max_iters)
 
@@ -596,14 +608,15 @@ def backtracking_line_search(
 
     Accepts the largest step in {1, s, s^2, ...} (s = ``_LS_SHRINK``) with
     sufficient decrease of the inner objective.  A non-descent direction
-    falls back to steepest descent so decrease is always achievable.
+    falls back to steepest descent so decrease is always achievable.  Makes
+    one fresh ``A^T alpha``, as :func:`inner_solve` does without ``carried``.
     """
+    _check_positive("eta", eta)
     w = _vector(w, p.n, "w")
     alpha = _vector(alpha, p.m, "alpha")
     direction = _vector(direction, p.m, "direction")
-    design_t_alpha = p.design.T @ alpha
-    ws = inner_workspace(p, w, eta, alpha, design_t_alpha)
-    carried = _CarriedProduct.start(w / eta, design_t_alpha)
+    carried = _CarriedProduct.start(w / eta, p.design.T @ alpha)
+    ws = inner_workspace(p, w, eta, alpha, carried.design_t_alpha)
     return _line_search(ws, direction, _gradient(ws), carried)
 
 
@@ -635,7 +648,6 @@ def inner_solve(
     eps: float,
     alpha_start: np.ndarray,
     config: SolverConfig,
-    design_t_alpha: np.ndarray | None = None,
     progress_factor: float | None = None,
     carried: _CarriedProduct | None = None,
 ) -> tuple[np.ndarray, int, int]:
@@ -650,32 +662,21 @@ def inner_solve(
     first.
 
     Returns the final alpha, the Newton steps taken, and total CG iterations
-    (zero for the Cholesky variant).  ``A^T alpha`` is carried exactly only
-    on the columns that can become active, with an upper bound on |q_j| for
-    the rest, and each line search reads only the columns its step can lift
-    above lam (by the cached column norms): a gathered pass over them when
-    gathering pays, else one full-design product, plus one more when stale
-    entries are too many to gather; a search along exactly ``b - alpha``
-    reads the problem's cached ``A^T b`` and makes none.  ``carried`` is
-    :func:`solve`'s state at ``alpha_start`` and shift ``w/eta``, whose stale
-    entries are inactive; it is advanced in place to the returned alpha, and
-    ``design_t_alpha`` is then not read (:func:`solve` passes None).  Without
-    it the state starts here, exact everywhere, from ``design_t_alpha`` (=
-    ``A^T alpha_start``, to reuse a product a solver loop computed) or from a
-    fresh product.
+    (zero for the Cholesky variant).  ``eps`` and ``eta`` must be finite and
+    positive.  ``A^T alpha`` is carried as a :class:`_CarriedProduct`, and
+    each line search makes the products :func:`_line_search` lists.
+    ``carried``, the 8th parameter, is :func:`solve`'s state at
+    ``alpha_start`` and shift ``w/eta``, whose stale entries are inactive; it
+    is advanced in place to the returned alpha.  Without it the state starts
+    here, exact everywhere, from one fresh ``A^T alpha_start``.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_positive("eps", eps)
     _check_positive("eta", eta)
     w = _vector(w, p.n, "w")
     # A copy: the returned alpha is never the caller's array.
     alpha = _vector(alpha_start, p.m, "alpha_start").copy()
-    if design_t_alpha is not None:
-        design_t_alpha = _vector(design_t_alpha, p.n, "design_t_alpha")
     if carried is None:
-        if design_t_alpha is None:
-            design_t_alpha = p.design.T @ alpha
-        carried = _CarriedProduct.start(w / eta, design_t_alpha)
+        carried = _CarriedProduct.start(w / eta, p.design.T @ alpha)
     newton_iters = 0
     pcg_iters = 0
     for _ in range(_MAX_INNER_NEWTON):
@@ -756,7 +757,7 @@ def solve(
         while True:
             eps_inner = max(retry * eps, _EPS_FLOOR)
             alpha, n_newton, n_pcg = inner_solve(
-                p, w, eta, eps_inner, alpha, config, None, retry, carried
+                p, w, eta, eps_inner, alpha, config, retry, carried
             )
             newton_total += n_newton
             pcg_total += n_pcg
@@ -807,12 +808,12 @@ def solve(
         primal_value=primal,
         relative_gap=gap,
         outer_iters=len(objective_trace),
-        inner_newton_iters=newton_total,
-        pcg_iters_total=pcg_total,
         wall_time_seconds=wall,
         nnz_fraction=float(np.count_nonzero(w)) / p.n,
         converged=converged,
-        inner_cap_hits=cap_hits,
         objective_trace=objective_trace,
         gap_trace=gap_trace,
+        inner_newton_iters=newton_total,
+        pcg_iters_total=pcg_total,
+        inner_cap_hits=cap_hits,
     )

@@ -107,7 +107,6 @@ _FAMILY_DEFAULTS = {
 
 def resolve_spec(spec: GenSpec) -> GenSpec:
     """Fill in family defaults, producing a fully concrete spec."""
-    defaults = _FAMILY_DEFAULTS[spec.family]
     m, n = spec.m, spec.n
     if spec.family in ("normal", "poor"):
         if m is None:
@@ -126,13 +125,9 @@ def resolve_spec(spec: GenSpec) -> GenSpec:
             f"poor-conditioning generation needs a full SVD; "
             f"m is capped at {MAX_POOR_CONDITIONING_M}"
         )
-    noise = spec.noise_variance
-    if noise is None:
-        noise = defaults["noise_variance"]
-    rule = spec.lambda_rule
-    if rule is None:
-        rule = defaults["lambda_rule"]
-    return replace(spec, m=m, n=n, noise_variance=noise, lambda_rule=rule)
+    unset = {name: value for name, value in _FAMILY_DEFAULTS[spec.family].items()
+             if getattr(spec, name) is None}
+    return replace(spec, m=m, n=n, **unset)
 
 
 @dataclass(frozen=True)

@@ -199,9 +199,6 @@ VECTOR_CALLS = {
         "design_t_alpha",
         lambda p, v: _workspace(inner_workspace(p, _w(p), 1.0, _alpha(p), v)),
     ),
-    "inner_solve-design_t_alpha": (
-        "design_t_alpha", lambda p, v: inner_solve(p, _w(p), 1.0, 1e-8, _alpha(p), _SHORT, v)
-    ),
     "outer_update-design_t_alpha": (
         "design_t_alpha", lambda p, v: outer_update(_w(p), _alpha(p), 1.0, p, v)
     ),

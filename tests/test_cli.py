@@ -222,6 +222,13 @@ class TestSolve:
         assert code == 0
         assert json.loads(stdout.strip().splitlines()[-1])["eta_initial"] == 1e12
 
+    def test_run_solver_rejects_what_eta1_rejects(self):
+        # run_solver builds the config the --eta1 check builds, so an
+        # infinite start is refused rather than run at the 1e12 cap.
+        p = probgen.generate(GenSpec(family="normal", m=8, seed=1)).problem
+        with pytest.raises(ValueError, match="eta_initial must be finite and positive"):
+            cli.run_solver("dal-chol", p, 1e-3, eta_initial=float("inf"))
+
     def test_non_convergence_still_exit_0(self, problem_file, capsys):
         code, stdout, _ = run_main(
             ["solve", str(problem_file), "--solver", "ist", "--tol", "1e-12",
@@ -1021,6 +1028,24 @@ class TestBenchOutputPaths:
         assert "Is a directory" in stderr
         assert generate_calls == []
         assert [p.name for p in tmp_path.iterdir()] == [paths[flag].name]
+
+    @pytest.mark.parametrize("argv", [
+        ["--out", "p.dalp", "--csv", "p.dalp"],
+        ["--out", "p.dalp", "--csv", "{tmp}/p.dalp"],
+        ["--csv", "normal_m16_n64_seed3.dalp"],
+    ], ids=["same-name", "same-file", "csv-on-default-out"])
+    def test_gen_outputs_on_one_file_fail_first(self, tmp_path, capsys, monkeypatch,
+                                                generate_calls, argv):
+        # The CSV would overwrite the container just written.
+        monkeypatch.chdir(tmp_path)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code, stdout, stderr = run_main(
+            ["gen", "--family", "normal", "--m", "16", "--seed", "3"] + argv, capsys)
+        assert code == cli.EXIT_DATA
+        assert "name one file" in stderr
+        assert stdout == ""
+        assert generate_calls == []
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--family", "normal", "--sizes", "16", "--seeds", "1..3",

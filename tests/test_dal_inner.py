@@ -211,6 +211,26 @@ class TestCountersPerThread:
         assert counters.active_column_accesses == 0
 
 class TestNewtonDirections:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("variant", ["cholesky", "pcg"])
+    def test_nonfinite_gradient_raises_before_any_hessian_product(self, variant, bad):
+        rng = np.random.default_rng(60)
+        p = random_problem(rng, m=10, n=120, lam=0.15)
+        w = np.zeros(120)
+        alpha = rng.standard_normal(10) * 0.5
+        assert np.any(np.abs(p.design.T @ alpha) > p.lam)  # a nonempty active set
+        grad = inner_gradient(p, w, 1.0, alpha)
+        grad[3] = bad
+        counters.reset()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite gradient"):
+                if variant == "cholesky":
+                    newton_direction_cholesky(p, w, 1.0, alpha, grad)
+                else:
+                    newton_direction_pcg(p, w, 1.0, alpha, grad, 1e-10, 500)
+        assert counters.active_column_accesses == 0
+
     def test_empty_active_set_gives_negative_gradient(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((5, 12)) * 0.01
@@ -389,6 +409,29 @@ class TestInnerSolve:
         with pytest.raises(ValueError):
             inner_solve(p, np.zeros(1), 1.0, 0.0, np.zeros(1), SolverConfig())
 
+    @pytest.mark.parametrize("eps", [np.inf, np.nan, -1.0])
+    def test_rejects_eps_that_is_not_finite_and_positive(self, eps):
+        # eps = inf would otherwise stop before the first Newton step.
+        p = ProblemInstance(design=[[1.0]], observations=[1.0], lam=1.0)
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            inner_solve(p, np.zeros(1), 1.0, eps, np.zeros(1), SolverConfig())
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_pcg_rejects_tol_that_is_not_finite_and_positive(self, tol):
+        p = generate(GenSpec(family="normal", m=8, seed=1)).problem
+        alpha = p.observations
+        grad = inner_gradient(p, np.zeros(p.n), 1.0, alpha)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            newton_direction_pcg(p, np.zeros(p.n), 1.0, alpha, grad, tol, 50)
+
+    @pytest.mark.parametrize("max_iters", [2.5, True, 0, np.float64(3.0)])
+    def test_pcg_rejects_max_iters_that_is_not_a_count(self, max_iters):
+        p = generate(GenSpec(family="normal", m=8, seed=1)).problem
+        alpha = p.observations
+        grad = inner_gradient(p, np.zeros(p.n), 1.0, alpha)
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            newton_direction_pcg(p, np.zeros(p.n), 1.0, alpha, grad, 1e-8, max_iters)
+
     @pytest.mark.parametrize("eta", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_bad_eta_before_dividing_by_it(self, eta):
         # A ValueError, not numpy's divide warning: w / eta is never formed.
@@ -490,7 +533,7 @@ class TestProgressStopRule:
                 eps = 1e-8
                 _, n_eps, _ = inner_solve(p, w, eta, eps, p.observations, cfg)
                 alpha, n_rule, _ = inner_solve(
-                    p, w, eta, eps, p.observations, cfg, None, 1.0
+                    p, w, eta, eps, p.observations, cfg, 1.0
                 )
                 assert n_rule <= n_eps
                 steps_eps += n_eps
@@ -510,7 +553,7 @@ class TestProgressStopRule:
             p = generate(GenSpec(family="normal", m=64, seed=seed)).problem
             w, eta, eps = np.zeros(p.n), 1.0 / p.lam, 1e-4 * np.sqrt(p.m)
             _, n_eps, _ = inner_solve(p, w, eta, eps, p.observations, cfg)
-            alpha, n_rule, _ = inner_solve(p, w, eta, eps, p.observations, cfg, None, 1.0)
+            alpha, n_rule, _ = inner_solve(p, w, eta, eps, p.observations, cfg, 1.0)
             assert n_rule < n_eps
             gnorm = np.linalg.norm(inner_gradient(p, w, eta, alpha))
             assert gnorm <= max(eps, multiplier_step(p, w, eta, alpha))
@@ -523,7 +566,7 @@ class TestProgressStopRule:
         # alpha = 0 keeps the gradient (about -b) finite and far above eps, so
         # only the NaN threshold can end the loop.
         with pytest.raises(NumericError):
-            inner_solve(p, w, 10.0, 1e-8, np.zeros(8), SolverConfig(), None, 1.0)
+            inner_solve(p, w, 10.0, 1e-8, np.zeros(8), SolverConfig(), 1.0)
 
 
 class TestActiveSetOperator:

@@ -241,7 +241,7 @@ def watched_solve(monkeypatch, case, after_inner=None, on_workspace=None):
     rebase make stale columns exact exactly when the case says so.
 
     ``after_inner(p, args, result)`` sees every inner solve's positional
-    arguments (the carried state is ``args[8]``) and its result;
+    arguments (the carried state is ``args[7]``) and its result;
     ``on_workspace(p, carried, args)`` sees every workspace built from the
     carried vector, before it is built.
     """
@@ -253,8 +253,8 @@ def watched_solve(monkeypatch, case, after_inner=None, on_workspace=None):
     carried, factors, lifted = [], [], []
 
     def inner_solve(*args):
-        carried[:] = [args[8]]
-        factors.append(args[7])
+        carried[:] = [args[7]]
+        factors.append(args[6])
         result = real_inner_solve(*args)
         if after_inner is not None:
             after_inner(p, args, result)
@@ -288,7 +288,7 @@ class TestCarriedProduct:
     def test_matches_a_fresh_product_after_every_inner_solve(self, monkeypatch, case):
         def check(p, args, result):
             _, w, eta = args[:3]
-            carried = args[8]
+            carried = args[7]
             fresh = p.design.T @ result[0]
             np.testing.assert_array_equal(carried.shift, w / eta)
             exact, stale = carried.exact, ~carried.exact

@@ -185,7 +185,7 @@ class TestSolve:
         def inner_solve(*args):
             nonlocal full_first_passes
             result = real_inner_solve(*args)
-            if args[7] == 1.0 and result[1] == 2:
+            if args[6] == 1.0 and result[1] == 2:
                 full_first_passes += 1
             return result
 
@@ -223,7 +223,7 @@ class TestFeasibleStart:
 
         def inner_solve(*args):
             # The carried state is advanced in place: copy its product now.
-            calls.append((args[4], args[8].design_t_alpha.copy()))
+            calls.append((args[4], args[7].design_t_alpha.copy()))
             return real_inner_solve(*args)
 
         monkeypatch.setattr(dal, "inner_solve", inner_solve)
@@ -273,7 +273,7 @@ class TestSchedule:
         first_passes = []
 
         def inner_solve(*args):
-            if args[7] == 1.0:
+            if args[6] == 1.0:
                 first_passes.append((args[2], args[3]))
             return real_inner_solve(*args)
 
