@@ -60,9 +60,9 @@ def feasible_dual_point(p: ProblemInstance, w: np.ndarray) -> np.ndarray:
 def _feasible_scale(p: ProblemInstance, design_t_candidate: np.ndarray) -> float:
     """``min(1, lam / ||A^T candidate||_inf)``, given ``A^T candidate``: the
     factor that scales a candidate into the dual feasible set; 1 for a zero
-    product."""
+    product, and NaN for a product holding a NaN, whose gap is then ``inf``."""
     corr = float(np.abs(design_t_candidate).max())
-    return 1.0 if corr == 0.0 else min(1.0, p.lam / corr)
+    return 1.0 if corr <= p.lam else p.lam / corr
 
 
 def _certificate(

@@ -33,9 +33,11 @@ factorization cost follows the sparsity of the solution too.  Either matrix
 is factored by numpy's LAPACK and solved by two triangular solves.  Both
 strategies, and the gradient, reach the active columns A+ only through
 :class:`InnerWorkspace`, the active-set operator (``matvec``, ``rmatvec``,
-``gram``, ``smaller_gram``, ``diag``).  It is the one place that knows
-whether A+ was gathered into a copy or is applied masked against the full
-design, and the one place that counts column touches.
+``gram``, ``smaller_gram``, ``diag``).  It gathers A+ into a copy, which
+never exceeds the design since k <= n, and is the one place that counts
+column touches.  Only the single-pass reads below (``A w``, a line search's
+or a rebase's columns) choose between a gather and a full product, by
+:func:`dalsparse.prox._gather_pays`.
 
 Products with the whole design matrix dominate the cost of wide problems, so
 ``A^T alpha`` is carried from the start of :func:`solve` to its end instead
@@ -79,16 +81,15 @@ solve (``A^T b``, cached on the problem), plus one or two per line search
 that cannot gather its columns, and one per rebase whose lifted columns are
 too many to gather: near the start every column can cross lam and most
 Newton steps cost a full product, while in the later, sparse steps most
-cost none.  Masked workspaces (see :class:`InnerWorkspace`) and a dense
-iterate's ``A w`` add to it.
+cost none.  A dense iterate's ``A w`` adds to it; a workspace adds none.
 
 ``A^T b`` also places the starting multiplier: alpha starts at
 ``b`` scaled into the dual feasible set ``||A^T alpha||_inf <= lam``, and its
 ``A^T alpha`` is ``A^T b`` scaled by the same factor.  From ``w = 0`` the
 first active set is then empty, so the first Newton step is a gradient step
 and later active sets grow from below; unscaled, ``A^T b`` exceeds lam on
-most columns of a wide problem, and the first steps run on masked, m x m
-systems.
+most columns of a wide problem, and the first steps would gather most of
+the design into m x m systems.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ from scipy.linalg import solve_triangular
 
 from .certificates import _certificate, _feasible_scale, relative_duality_gap
 from .prox import (
-    _GATHER_MAX_ELEMENTS, ProblemInstance, _check_cap, _check_positive, _gather_pays,
-    _primal_value, _residual, _starting_point, _vector, soft_threshold,
+    ProblemInstance, _check_cap, _check_positive, _gather_pays, _primal_value,
+    _residual, _starting_point, _vector, soft_threshold,
 )
 
 INNER_VARIANTS = ("cholesky", "pcg")
@@ -244,11 +245,9 @@ class InnerWorkspace:
 
     Holds q = A^T alpha + w/eta, its active set, ``shrunk`` = ST_lam(q) on
     that set (q_j - lam*sign(q_j)), and the active columns of the design,
-    gathered into ``active_cols``.  ``active_cols`` is None when the active
-    set covers so much of the matrix that copying it would outweigh masked
-    full-matrix products; the operator then runs matrix-free against the
-    stored design.  ``matvec``, ``gram``, ``smaller_gram`` and ``diag`` each
-    add the active-set size to :data:`counters`; ``rmatvec`` adds nothing.
+    gathered into ``active_cols`` (m x k, never larger than the design).
+    ``matvec``, ``gram``, ``smaller_gram`` and ``diag`` each add the
+    active-set size to :data:`counters`; ``rmatvec`` adds nothing.
     """
 
     p: ProblemInstance
@@ -257,65 +256,38 @@ class InnerWorkspace:
     q: np.ndarray
     active: np.ndarray
     shrunk: np.ndarray
-    active_cols: np.ndarray | None
+    active_cols: np.ndarray
 
     def matvec(self, values: np.ndarray) -> np.ndarray:
         """A+ @ values."""
         counters.active_column_accesses += int(self.active.size)
-        if self.active_cols is not None:
-            return self.active_cols @ values
-        full = np.zeros(self.p.n)
-        full[self.active] = values
-        return self.p.design @ full
+        return self.active_cols @ values
 
     def rmatvec(self, vec: np.ndarray) -> np.ndarray:
         """A+^T @ vec."""
-        if self.active_cols is not None:
-            return self.active_cols.T @ vec
-        return (self.p.design.T @ vec)[self.active]
+        return self.active_cols.T @ vec
 
     def gram(self) -> np.ndarray:
         """A+ A+^T, the m x m Gram matrix of the active columns."""
-        return self._block_sum(lambda cols: cols @ cols.T)
+        counters.active_column_accesses += int(self.active.size)
+        return self.active_cols @ self.active_cols.T
 
     def smaller_gram(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The smaller of the two Gram matrices of A+, with the columns it needs.
 
         With k active columns, k >= m gives (A+ A+^T, None) as :meth:`gram`
-        does; k < m gives (A+^T A+, A+ as a dense m x k array), gathering
-        masked columns for it (k*m < m^2 elements).  Adds k to
-        :data:`counters` either way.
+        does; k < m gives (A+^T A+, A+).  Adds k to :data:`counters` either
+        way.
         """
         if self.active.size >= self.p.m:
             return self.gram(), None
         counters.active_column_accesses += int(self.active.size)
-        cols = self.active_cols
-        if cols is None:
-            cols = self.p.design[:, self.active]
-        return cols.T @ cols, cols
+        return self.active_cols.T @ self.active_cols, self.active_cols
 
     def diag(self) -> np.ndarray:
         """diag(A+ A+^T): row sums of the squared active columns."""
-        return self._block_sum(lambda cols: np.einsum("ij,ij->i", cols, cols))
-
-    def _block_sum(self, kernel):
-        """Sum of kernel(block) over the blocks; the first result is the
-        accumulator, so no zero-filled temporary is made."""
         counters.active_column_accesses += int(self.active.size)
-        blocks = self._blocks()
-        total = kernel(next(blocks))
-        for cols in blocks:
-            total += kernel(cols)
-        return total
-
-    def _blocks(self):
-        """The gathered columns, or bounded chunks of the masked ones."""
-        if self.active_cols is not None:
-            yield self.active_cols
-            return
-        step = max(1, _GATHER_MAX_ELEMENTS // (4 * self.p.m))
-        for lo in range(0, int(self.active.size), step):
-            yield self.p.design[:, self.active[lo : lo + step]]
+        return np.einsum("ij,ij->i", self.active_cols, self.active_cols)
 
 
 def inner_workspace(
@@ -326,7 +298,7 @@ def inner_workspace(
     design_t_alpha: np.ndarray | None = None,
 ) -> InnerWorkspace:
     """Build the active-set operator at alpha: q = A^T alpha + w/eta, its
-    active set, and the active columns, gathered when copying them pays.
+    active set, and a copy of the active columns (k*m*8 bytes).
 
     ``design_t_alpha`` (= ``A^T alpha``) may be supplied to reuse a
     matrix-vector product computed by a solver loop.
@@ -339,8 +311,7 @@ def inner_workspace(
     active = compute_active_set(q, p.lam)
     qa = q[active]
     shrunk = qa - p.lam * np.sign(qa)
-    cols = p.design[:, active] if _gather_pays(p, active.size) else None
-    return InnerWorkspace(p, eta, alpha, q, active, shrunk, cols)
+    return InnerWorkspace(p, eta, alpha, q, active, shrunk, p.design[:, active])
 
 
 def _objective_from_q(p, eta, alpha, q):

@@ -33,8 +33,8 @@ class DualInfeasibleError(ValueError):
 # Relative slack accepted on ||A^T alpha||_inf <= lam; certificate
 # construction lands on the boundary only up to rounding.
 FEASIBILITY_RTOL = 1e-9
-# Gather limits: skip the submatrix copy once the active set stops being
-# genuinely sparse (a quarter of the columns) or the copy itself gets large.
+# Gather limits for a single-pass read of k columns: past a quarter of the
+# columns, or once the copy itself gets large, one full product is cheaper.
 _GATHER_MAX_FRACTION = 0.25
 _GATHER_MAX_ELEMENTS = 2**25
 
@@ -149,7 +149,11 @@ def project_linf(v: np.ndarray, r: float) -> np.ndarray:
 
 
 def _gather_pays(p: ProblemInstance, k: int) -> bool:
-    """Whether copying k columns of the design beats masked full products."""
+    """Whether one pass over k gathered columns beats a full-design product.
+
+    The one gather-or-full rule, for reads made once (``A w``, a DAL line
+    search's or rebase's columns); DAL's inner workspaces always gather.
+    """
     sparse = k <= max(16, int(_GATHER_MAX_FRACTION * p.n))
     return sparse and k * p.m <= _GATHER_MAX_ELEMENTS
 

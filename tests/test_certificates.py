@@ -109,6 +109,18 @@ def test_nonfinite_w_is_never_certified(value):
         assert dual_certificate(p, w).relative_gap == np.inf
 
 
+def test_nan_design_is_never_certified():
+    """A NaN in ``A^T c`` must not read as a correlation within lam: the
+    scaled candidate is NaN and the gap ``inf``, even at w = 0."""
+    rng = np.random.default_rng(12)
+    p = random_problem(rng)
+    design = p.design.copy()
+    design[0, 0] = np.nan
+    p = ProblemInstance(design=design, observations=p.observations, lam=p.lam)
+    assert relative_duality_gap(p, np.zeros(p.n)) == np.inf
+    assert dual_certificate(p, np.zeros(p.n)).relative_gap == np.inf
+
+
 def _argument(name, size):
     """A value of the vector argument ``name`` with ``size`` entries.
 

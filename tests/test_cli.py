@@ -237,7 +237,10 @@ class TestSolve:
         rec = json.loads(stdout.strip().splitlines()[-1])
         assert rec["converged"] is False
 
-    def test_nonfinite_problem_exit_4(self, tmp_path, capsys):
+    @pytest.mark.parametrize("solver", cli.SOLVER_IDS)
+    def test_nonfinite_problem_exit_4(self, tmp_path, capsys, solver):
+        """A NaN in the design is a numeric error for every solver: no gap
+        certifies a point on it, not even w = 0 for IST."""
         import dalsparse
 
         gen = dalsparse.generate(dalsparse.GenSpec(family="normal", m=8, seed=1))
@@ -251,7 +254,7 @@ class TestSolve:
         path = tmp_path / "nan.dalp"
         save_problem(path, broken)
         code, _, stderr = run_main(
-            ["solve", str(path), "--solver", "dal-chol"], capsys)
+            ["solve", str(path), "--solver", solver], capsys)
         assert code == 4
         assert "numeric" in stderr
 

@@ -570,26 +570,24 @@ class TestProgressStopRule:
 
 
 class TestActiveSetOperator:
-    """The workspace's A+ products match dense ``A[:, active]`` arithmetic on
-    the gathered path, the masked path, and the masked path in chunks."""
+    """The workspace's A+ products match dense ``A[:, active]`` arithmetic,
+    with some columns active and with all of them, gathered either way."""
 
-    @pytest.fixture(params=["gathered", "masked", "masked-chunked"])
-    def workspace(self, request, monkeypatch):
+    @pytest.fixture(params=["some-active", "all-active"])
+    def workspace(self, request):
         rng = np.random.default_rng(61)
         p = random_problem(rng, m=8, n=40, lam=0.4)
         alpha = rng.standard_normal(8)
-        if request.param == "gathered":
+        if request.param == "some-active":
             w = np.zeros(40)
         else:
             w = np.full(40, 100.0)  # q_j ~ 50 > lam: every column is active
-        if request.param == "masked-chunked":
-            # 3-column chunks: 40 active columns take 14 blocks
-            monkeypatch.setattr(dal, "_GATHER_MAX_ELEMENTS", 4 * 8 * 3)
         ws = inner_workspace(p, w, 2.0, alpha)
-        if request.param == "gathered":
-            assert ws.active_cols is not None and 0 < ws.active.size < 40
+        if request.param == "some-active":
+            assert 0 < ws.active.size < 40
         else:
-            assert ws.active_cols is None and ws.active.size == 40
+            assert ws.active.size == 40
+        np.testing.assert_array_equal(ws.active_cols, p.design[:, ws.active])
         return p, ws
 
     def test_products_match_dense(self, workspace):
@@ -635,25 +633,24 @@ class TestNewtonSystemForm:
     """The Cholesky direction factors the smaller of I + eta*A+ A+^T (m x m)
     and I + eta*A+^T A+ (k x k) and solves the m x m system either way."""
 
-    # (m, n, k, gathered): n < 4k puts a k < m workspace on the masked path
+    # (m, n, k): k below, at and above m, with k a small and a large share of n
     CASES = [
-        (20, 200, 8, True),
-        (20, 200, 20, True),
-        (20, 200, 40, True),
-        (40, 100, 30, False),
-        (40, 100, 40, False),
-        (40, 100, 60, False),
+        (20, 200, 8),
+        (20, 200, 20),
+        (20, 200, 40),
+        (40, 100, 30),
+        (40, 100, 40),
+        (40, 100, 60),
     ]
 
     @pytest.mark.parametrize("eta", [1.0, 1e3, 1e6])
-    @pytest.mark.parametrize("m, n, k, gathered", CASES)
+    @pytest.mark.parametrize("m, n, k", CASES)
     def test_factors_smaller_form_and_solves_full_system(
-        self, m, n, k, gathered, eta, monkeypatch
+        self, m, n, k, eta, monkeypatch
     ):
         p, w, alpha = problem_with_active_set(m, n, k, eta, seed=m + n + k)
         ws = inner_workspace(p, w, eta, alpha)
         assert ws.active.size == k
-        assert (ws.active_cols is not None) == gathered
         shapes = []
         factor = dal.cho_factor
 

@@ -73,9 +73,10 @@ def counting(problem):
     return counted, counter
 
 
-def assert_within_budget(problem, tol):
+def assert_within_budget(problem, tol, variant="cholesky", w_initial=None):
     counted, counter = counting(problem)
-    report = solve(counted, SolverConfig(outer_tolerance=tol, inner_variant="cholesky"))
+    report = solve(counted, SolverConfig(outer_tolerance=tol, inner_variant=variant),
+                   w_initial)
     assert report.converged
     # The start's A^T b, and at least one residual certificate.
     assert counter[0] >= 2
@@ -96,6 +97,18 @@ class TestProductBudget:
         # Line searches over few enough columns gather them instead, so the
         # count falls below one per Newton step plus one per outer iteration.
         assert full_products < report.inner_newton_iters + report.outer_iters + 1
+
+    @pytest.mark.parametrize("variant", ["cholesky", "pcg"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("family, size", [
+        ("normal", dict(m=64)), ("poor", dict(m=64)), ("largescale", dict(n=4096)),
+    ], ids=["normal-64", "poor-64", "largescale-4096"])
+    def test_dense_start(self, family, size, seed, variant):
+        """From a dense random w most columns start active; their workspaces
+        gather them, so inner products add no full product."""
+        p = generate(GenSpec(family=family, seed=seed, **size)).problem
+        w_initial = np.random.default_rng(seed).standard_normal(p.n)
+        assert_within_budget(p, 1e-6, variant, w_initial)
 
     def test_later_solves_reuse_the_problems_design_t_b(self):
         p = generate(GenSpec(family="largescale", n=4096, seed=1)).problem
