@@ -36,8 +36,9 @@ strategies, and the gradient, reach the active columns A+ only through
 ``gram``, ``smaller_gram``, ``diag``).  It gathers A+ into a copy, which
 never exceeds the design since k <= n, and is the one place that counts
 column touches.  Only the single-pass reads below (``A w``, a line search's
-or a rebase's columns) choose between a gather and a full product, by
-:func:`dalsparse.prox._gather_pays`.
+or a rebase's columns) choose between a gather and a full product, all by
+one rule in :mod:`dalsparse.prox`: :func:`dalsparse.prox._gathered_products`
+returns None where one full product is cheaper.
 
 Products with the whole design matrix dominate the cost of wide problems, so
 ``A^T alpha`` is carried from the start of :func:`solve` to its end instead
@@ -68,7 +69,7 @@ multiplier update, the prescreen below and every active set read what a
 fresh product would give.  The exact entries gain one rounding per line
 search.  The multiplier update reads the carried vector, and ``A w`` is
 formed from the nonzero columns of the sparse iterate by
-:func:`dalsparse.prox._residual`, the owner of the gather rule.
+:func:`dalsparse.prox._residual`, under the same rule.
 
 The carried ``A^T alpha`` also certifies the iterate cheaply: its largest
 entry is exact or at most lam, so, scaled into the dual feasible set, alpha
@@ -104,8 +105,8 @@ from scipy.linalg import solve_triangular
 
 from .certificates import _certificate, _feasible_scale, relative_duality_gap
 from .prox import (
-    ProblemInstance, _check_cap, _check_positive, _gather_pays, _primal_value,
-    _residual, _starting_point, _vector, soft_threshold,
+    ProblemInstance, _check_cap, _check_positive, _gathered_products,
+    _primal_value, _residual, _starting_point, _vector, soft_threshold,
 )
 
 INNER_VARIANTS = ("cholesky", "pcg")
@@ -220,23 +221,9 @@ class SolveReport:
     inner_cap_hits: int = 0
 
 
-# The line search's gathered products work in blocks of this many elements,
-# 4 MiB of float64: 512 columns at m=1024.
-_BLOCK_ELEMENTS = 2**19
-
-
 def compute_active_set(q: np.ndarray, lam: float) -> np.ndarray:
     """Indices j with |q_j| strictly above lam; boundary values are inactive."""
     return np.flatnonzero(np.abs(q) > lam)
-
-
-def _gathered_products(p, columns, vectors):
-    """``A[:, columns]^T @ vectors``, gathering the columns block by block."""
-    out = np.empty((columns.size,) + vectors.shape[1:])
-    step = max(1, _BLOCK_ELEMENTS // p.m)
-    for lo in range(0, columns.size, step):
-        out[lo : lo + step] = p.design[:, columns[lo : lo + step]].T @ vectors
-    return out
 
 
 @dataclass(frozen=True)
@@ -272,17 +259,13 @@ class InnerWorkspace:
         counters.active_column_accesses += int(self.active.size)
         return self.active_cols @ self.active_cols.T
 
-    def smaller_gram(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The smaller of the two Gram matrices of A+, with the columns it needs.
-
-        With k active columns, k >= m gives (A+ A+^T, None) as :meth:`gram`
-        does; k < m gives (A+^T A+, A+).  Adds k to :data:`counters` either
-        way.
-        """
+    def smaller_gram(self) -> np.ndarray:
+        """The smaller Gram matrix of A+: A+ A+^T as :meth:`gram` when k >= m,
+        else the k x k A+^T A+.  Adds k to :data:`counters` either way."""
         if self.active.size >= self.p.m:
-            return self.gram(), None
+            return self.gram()
         counters.active_column_accesses += int(self.active.size)
-        return self.active_cols.T @ self.active_cols, self.active_cols
+        return self.active_cols.T @ self.active_cols
 
     def diag(self) -> np.ndarray:
         """diag(A+ A+^T): row sums of the squared active columns."""
@@ -369,15 +352,16 @@ def _newton_cholesky(ws, grad):
     _check_gradient(grad)
     if ws.active.size == 0:
         return -grad
-    hess, cols = ws.smaller_gram()
+    hess = ws.smaller_gram()
     hess *= ws.eta
     hess[np.diag_indices_from(hess)] += 1.0
     if not np.all(np.isfinite(hess)):
         raise NumericError("non-finite Hessian assembled")
     factor = cho_factor(hess)
-    if cols is None:
+    if ws.active.size >= ws.p.m:
         return cho_solve(factor, -grad)
     # Woodbury: (I + eta*A+ A+^T)^{-1} = I - eta*A+ (I + eta*A+^T A+)^{-1} A+^T.
+    cols = ws.active_cols
     return ws.eta * (cols @ cho_solve(factor, cols.T @ grad)) - grad
 
 
@@ -476,14 +460,15 @@ class _CarriedProduct:
         return cls(shift, dta, np.abs(dta + shift), np.ones(dta.size, bool))
 
     def make_exact(self, p, alpha, cols):
-        """Make the entries on ``cols`` exact at ``alpha``: gathered when that
-        pays, else by one full product, which makes every entry exact."""
-        if _gather_pays(p, cols.size):
-            self.design_t_alpha[cols] = _gathered_products(p, cols, alpha)
-            self.exact[cols] = True
-        else:
+        """Make the entries on ``cols`` exact at ``alpha``: gathered, or, when
+        :func:`_gathered_products` returns None, all by one full product."""
+        gathered = _gathered_products(p, cols, alpha)
+        if gathered is None:
             self.design_t_alpha = p.design.T @ alpha
             self.exact[:] = True
+        else:
+            self.design_t_alpha[cols] = gathered
+            self.exact[cols] = True
 
     def toward_b(self, p, alpha, direction):
         """``A^T d`` for d = b - alpha, as ``A^T b - A^T alpha`` from the
@@ -527,10 +512,11 @@ def _line_search(ws, direction, grad, carried):
     A step t <= 1 along d moves q_j by at most ||a_j||*||d|| (Cauchy-Schwarz),
     so only the columns with ``upper_j + ||a_j||*||d|| > lam`` can be active
     at a trial point; the others add nothing to any trial objective.  When
-    gathering those columns pays, one blocked pass over them forms both
+    :func:`_gathered_products` gathers them, its one blocked pass forms both
     ``a_j^T alpha`` and ``a_j^T d``, and the objectives run over them alone;
-    otherwise one full product forms ``A^T d`` (after the stale entries are
-    made exact, if there are any) and the objectives run over every column.
+    when it returns None, one full product forms ``A^T d`` (after the stale
+    entries are made exact, if there are any) and the objectives run over
+    every column.
     A direction of exactly ``b - alpha`` (the Newton step from an empty
     active set) takes ``A^T d`` from the problem's ``A^T b`` instead, when
     every carried entry is exact (:meth:`_CarriedProduct.toward_b`).
@@ -545,14 +531,14 @@ def _line_search(ws, direction, grad, carried):
     cols = slice(None)
     if design_t_dir is None:
         cols = np.flatnonzero(carried.upper + reach > p.lam)
-        if _gather_pays(p, cols.size):
-            both = _gathered_products(p, cols, np.column_stack((alpha, direction)))
-            carried.design_t_alpha[cols] = both[:, 0]
-            design_t_dir = both[:, 1]
-        else:
+        both = _gathered_products(p, cols, np.column_stack((alpha, direction)))
+        if both is None:
             cols = slice(None)
             design_t_dir = p.design.T @ direction
             carried.make_exact(p, alpha, np.flatnonzero(~carried.exact))
+        else:
+            carried.design_t_alpha[cols] = both[:, 0]
+            design_t_dir = both[:, 1]
     q = carried.design_t_alpha[cols] + carried.shift[cols]
     g0 = _objective_from_q(p, eta, alpha, q)
     step = 1.0

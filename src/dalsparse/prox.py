@@ -33,10 +33,11 @@ class DualInfeasibleError(ValueError):
 # Relative slack accepted on ||A^T alpha||_inf <= lam; certificate
 # construction lands on the boundary only up to rounding.
 FEASIBILITY_RTOL = 1e-9
-# Gather limits for a single-pass read of k columns: past a quarter of the
-# columns, or once the copy itself gets large, one full product is cheaper.
+# A single-pass read of k columns gathers them while k <= max(16, 0.25*n);
+# past that, one full product is cheaper.  _residual gathers in one copy,
+# _gathered_products in blocks of _BLOCK_ELEMENTS (4 MiB of float64).
 _GATHER_MAX_FRACTION = 0.25
-_GATHER_MAX_ELEMENTS = 2**25
+_BLOCK_ELEMENTS = 2**19
 
 
 def _vector(x, size: int, name: str) -> np.ndarray:
@@ -151,11 +152,23 @@ def project_linf(v: np.ndarray, r: float) -> np.ndarray:
 def _gather_pays(p: ProblemInstance, k: int) -> bool:
     """Whether one pass over k gathered columns beats a full-design product.
 
-    The one gather-or-full rule, for reads made once (``A w``, a DAL line
-    search's or rebase's columns); DAL's inner workspaces always gather.
+    The one gather-or-full rule, for reads made once: ``A w`` here, and a DAL
+    line search's or rebase's columns through :func:`_gathered_products`.
+    DAL's inner workspaces always gather.
     """
-    sparse = k <= max(16, int(_GATHER_MAX_FRACTION * p.n))
-    return sparse and k * p.m <= _GATHER_MAX_ELEMENTS
+    return k <= max(16, int(_GATHER_MAX_FRACTION * p.n))
+
+
+def _gathered_products(p: ProblemInstance, columns, vectors) -> np.ndarray | None:
+    """``A[:, columns]^T @ vectors``, gathered block by block, or None (and no
+    product made) when :func:`_gather_pays` says a full product is cheaper."""
+    if not _gather_pays(p, columns.size):
+        return None
+    out = np.empty((columns.size,) + vectors.shape[1:])
+    step = max(1, _BLOCK_ELEMENTS // p.m)
+    for lo in range(0, columns.size, step):
+        out[lo : lo + step] = p.design[:, columns[lo : lo + step]].T @ vectors
+    return out
 
 
 def _residual(p: ProblemInstance, w: np.ndarray) -> np.ndarray:

@@ -231,6 +231,34 @@ class TestNewtonDirections:
                     newton_direction_pcg(p, w, 1.0, alpha, grad, 1e-10, 500)
         assert counters.active_column_accesses == 0
 
+    def test_overflowing_hessian_raises(self):
+        # Every column is active (A^T alpha = 2 > lam) and the gradient is
+        # finite (+-3e155), but the Gram A A^T overflows to inf.
+        p = ProblemInstance(design=[[1e155] * 3, [-1e155] * 3],
+                            observations=[1.0, 0.0], lam=1.0)
+        w = np.zeros(3)
+        alpha = np.array([2e-155, 0.0])
+        assert inner_workspace(p, w, 1.0, alpha).active.size == 3
+        grad = inner_gradient(p, w, 1.0, alpha)
+        assert np.all(np.isfinite(grad))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="non-finite Hessian assembled"):
+                newton_direction_cholesky(p, w, 1.0, alpha, grad)
+
+    def test_pcg_zero_gradient_returns_zeros_without_iterating(self):
+        rng = np.random.default_rng(60)
+        p = random_problem(rng, m=10, n=120, lam=0.15)
+        w = np.zeros(120)
+        alpha = rng.standard_normal(10) * 0.5
+        k = inner_workspace(p, w, 1.0, alpha).active.size
+        assert k > 0
+        counters.reset()
+        direction, iters = newton_direction_pcg(p, w, 1.0, alpha, np.zeros(10), 1e-10, 500)
+        assert iters == 0
+        np.testing.assert_array_equal(direction, np.zeros(10))
+        # Only the preconditioner's diagonal touches the active columns.
+        assert counters.active_column_accesses == k
+
     def test_empty_active_set_gives_negative_gradient(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((5, 12)) * 0.01

@@ -31,7 +31,7 @@ from dalsparse import (
     primal_objective,
     solve,
 )
-from dalsparse import dal
+from dalsparse import dal, prox
 from dalsparse.dal import _residual
 
 
@@ -395,5 +395,5 @@ class TestCarriedProduct:
         assert report.converged
         active, flagged, products = searches[0]
         assert active == 0
-        assert not dal._gather_pays(p, flagged)
+        assert not prox._gather_pays(p, flagged)
         assert products == 0

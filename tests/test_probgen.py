@@ -146,6 +146,21 @@ class TestGenerate:
             with pytest.raises(ValueError, match="lambda rule value"):
                 LambdaRule(kind, value)
 
+    def test_unknown_lambda_rule_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown lambda rule kind"):
+            LambdaRule("sqrt-n", 0.4)
+
+    def test_unknown_family_raises(self):
+        with pytest.raises(ValueError, match="family must be one of"):
+            GenSpec(family="uniform", m=16)
+
+    @pytest.mark.parametrize("density", [0.0, 1.5, np.nan])
+    def test_density_must_lie_in_unit_interval(self, density):
+        with pytest.raises(ValueError, match=r"density must lie in \(0, 1\]"):
+            GenSpec(family="normal", m=16, density=density)
+        with pytest.raises(ValueError, match=r"density must lie in \(0, 1\]"):
+            gen_sparse_coeffs(64, density, seed=1)
+
     def test_explicit_n_overrides_family_rule(self):
         gen = generate(GenSpec(family="normal", m=16, n=100, seed=15))
         assert (gen.problem.m, gen.problem.n) == (16, 100)

@@ -1,4 +1,8 @@
-"""Operator-level tests: thresholding, projection, objectives, duality basics."""
+"""Operator-level tests: thresholding, projection, objectives, duality basics,
+and the gather-or-full rule for single-pass column reads."""
+
+import copy
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from dalsparse import (
     project_linf,
     soft_threshold,
 )
+from dalsparse.prox import _BLOCK_ELEMENTS, _gather_pays, _gathered_products
 from oracles import cd_lasso
 
 
@@ -189,3 +194,70 @@ class TestZeroSolutionCriterion:
             assert np.count_nonzero(w_hi) == 0
             w_lo, _, _ = cd_lasso(A, b, 0.9 * crit)
             assert np.count_nonzero(w_lo) > 0
+
+
+class OperandSizes(np.ndarray):
+    """A view of a design matrix that records the size of each of its views
+    that enters a matrix product."""
+
+    sizes = None
+
+    def __array_finalize__(self, obj):
+        self.sizes = getattr(obj, "sizes", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and method == "__call__":
+            self.sizes.extend(x.size for x in inputs if isinstance(x, OperandSizes))
+        plain = tuple(
+            x.view(np.ndarray) if isinstance(x, OperandSizes) else x for x in inputs
+        )
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def recording(problem):
+    """A copy of ``problem`` whose design records its product operand sizes."""
+    design = problem.design.view(OperandSizes)
+    design.sizes = []
+    recorded = copy.copy(problem)
+    object.__setattr__(recorded, "design", design)
+    return recorded, design.sizes
+
+
+class TestGatherRule:
+    @pytest.fixture(scope="class")
+    def wide(self):
+        rng = np.random.default_rng(27)
+        return ProblemInstance(rng.standard_normal((1024, 4096)), rng.standard_normal(1024),
+                               lam=1.0)
+
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_gathered_products_match_in_blocks(self, wide, width):
+        p, rng = wide, np.random.default_rng(28)
+        cols = rng.choice(p.n, size=p.n // 4, replace=False)
+        vectors = rng.standard_normal(p.m if width is None else (p.m, width))
+        recorded, sizes = recording(p)
+        out = _gathered_products(recorded, cols, vectors)
+        expected = p.design[:, cols].T @ vectors
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+        # Two blocks of 512 columns at m=1024, none larger than a block.
+        assert len(sizes) == 2
+        assert max(sizes) <= _BLOCK_ELEMENTS
+
+    def test_too_many_columns_make_no_product(self, wide):
+        p, rng = wide, np.random.default_rng(29)
+        cols = rng.choice(p.n, size=p.n // 4 + 1, replace=False)
+        recorded, sizes = recording(p)
+        assert _gathered_products(recorded, cols, rng.standard_normal(p.m)) is None
+        assert sizes == []
+
+    @pytest.mark.parametrize("n", [40, 4096])
+    def test_gathers_up_to_a_quarter_of_the_columns_or_16(self, n):
+        shape = types.SimpleNamespace(m=n // 4, n=n)
+        k = max(16, n // 4)
+        assert _gather_pays(shape, k)
+        assert not _gather_pays(shape, k + 1)
+
+    def test_no_cap_on_the_gathered_copy(self):
+        # The shape of a 2 GiB normal design: a quarter of its columns gather.
+        assert _gather_pays(types.SimpleNamespace(m=8192, n=32768), 8192)
