@@ -203,8 +203,8 @@ class SolveReport:
     which is still a sound upper bound.  ``relative_gap`` of a converged
     solve is always the residual gap.  ``wall_time_seconds`` runs from the
     solver's entry to its return.  The last three counts are DAL's inner
-    effort and stay 0 for IST: Newton steps, CG iterations, and inner solves
-    that reached ``_MAX_INNER_NEWTON`` without meeting their stop rule.
+    effort and stay 0 for IST: Newton steps, CG iterations, and cap hits:
+    first-pass inner solves whose returned alpha misses its stop rule.
     """
 
     w_final: np.ndarray
@@ -607,7 +607,7 @@ def inner_solve(
     config: SolverConfig,
     progress_factor: float | None = None,
     carried: _CarriedProduct | None = None,
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, int, int, bool]:
     """Newton-iterate the inner problem from ``alpha_start`` until the gradient
     norm falls to ``eps`` or ``_MAX_INNER_NEWTON`` steps are taken.
 
@@ -616,19 +616,21 @@ def inner_solve(
     sqrt(eta)``, the primal-progress rule of the module docstring; it costs
     O(n) per step and no product, and a non-finite threshold raises
     :class:`NumericError`.  ``eps`` stays an always-on floor and is tested
-    first.
+    first.  ``eps``, ``eta`` and a given factor must be finite and positive.
 
-    Returns the final alpha, the Newton steps taken, and total CG iterations
-    (zero for the Cholesky variant).  ``eps`` and ``eta`` must be finite and
-    positive.  ``A^T alpha`` is carried as a :class:`_CarriedProduct`, and
-    each line search makes the products :func:`_line_search` lists.
-    ``carried``, the 8th parameter, is :func:`solve`'s state at
+    Returns the final alpha, the Newton steps, total CG iterations (zero for
+    Cholesky) and whether the rule holds at that alpha; it is tested at every
+    point, so at most ``_MAX_INNER_NEWTON + 1`` workspaces are built.  Each
+    line search makes the products :func:`_line_search` lists.  ``carried``,
+    the 8th parameter, is :func:`solve`'s :class:`_CarriedProduct` at
     ``alpha_start`` and shift ``w/eta``, whose stale entries are inactive; it
     is advanced in place to the returned alpha.  Without it the state starts
     here, exact everywhere, from one fresh ``A^T alpha_start``.
     """
     _check_positive("eps", eps)
     _check_positive("eta", eta)
+    if progress_factor is not None:
+        _check_positive("progress_factor", progress_factor)
     w = _vector(w, p.n, "w")
     # A copy: the returned alpha is never the caller's array.
     alpha = _vector(alpha_start, p.m, "alpha_start").copy()
@@ -636,12 +638,13 @@ def inner_solve(
         carried = _CarriedProduct.start(w / eta, p.design.T @ alpha)
     newton_iters = 0
     pcg_iters = 0
-    for _ in range(_MAX_INNER_NEWTON):
+    while True:
         ws = inner_workspace(p, w, eta, alpha, carried.design_t_alpha)
         grad = _gradient(ws)
         gnorm = float(np.linalg.norm(grad))
-        if _inner_done(ws, w, gnorm, eps, progress_factor):
-            break
+        met = _inner_done(ws, w, gnorm, eps, progress_factor)
+        if met or newton_iters == _MAX_INNER_NEWTON:
+            return alpha, newton_iters, pcg_iters, met
         if config.inner_variant == "cholesky":
             direction = _newton_cholesky(ws, grad)
         else:
@@ -650,7 +653,6 @@ def inner_solve(
             pcg_iters += used
         alpha, _ = _line_search(ws, direction, grad, carried)
         newton_iters += 1
-    return alpha, newton_iters, pcg_iters
 
 
 def outer_update(
@@ -696,7 +698,7 @@ def solve(
     start = time.perf_counter()
     w = _starting_point(p, w_initial)
     eta = _starting_eta(p, config.eta_initial)
-    eps = max(_EPS_INITIAL_SCALE * math.sqrt(p.m), _EPS_FLOOR)
+    eps = _EPS_INITIAL_SCALE * math.sqrt(p.m)
     objective_trace: list[float] = []
     gap_trace: list[float] = []
     newton_total = pcg_total = cap_hits = 0
@@ -713,18 +715,15 @@ def solve(
         retry = 1.0
         while True:
             eps_inner = max(retry * eps, _EPS_FLOOR)
-            alpha, n_newton, n_pcg = inner_solve(
+            alpha, n_newton, n_pcg, met = inner_solve(
                 p, w, eta, eps_inner, alpha, config, retry, carried
             )
             newton_total += n_newton
             pcg_total += n_pcg
-            # Cap hits count the first-pass solve against its own stop rule,
-            # not the descent retries below that refine it.
-            if retry == 1.0 and n_newton >= _MAX_INNER_NEWTON:
-                ws = inner_workspace(p, w, eta, alpha, carried.design_t_alpha)
-                gnorm = float(np.linalg.norm(_gradient(ws)))
-                if not _inner_done(ws, w, gnorm, eps, retry):
-                    cap_hits += 1
+            # A cap hit is a first-pass solve whose returned alpha misses its
+            # stop rule; the descent retries below only refine it.
+            if retry == 1.0 and not met:
+                cap_hits += 1
             w_new = outer_update(w, alpha, eta, p, carried.design_t_alpha)
             residual = _residual(p, w_new)
             primal = _primal_value(p, w_new, residual)

@@ -474,7 +474,7 @@ class TestInnerSolve:
         # is still a new array, never the caller's alpha_start.
         p = random_problem(np.random.default_rng(5))
         alpha_start = 0.5 * p.observations
-        alpha, iters, _ = inner_solve(
+        alpha, iters, _, _ = inner_solve(
             p, np.zeros(p.n), 1.0, 1e300, alpha_start, SolverConfig()
         )
         assert iters == 0
@@ -488,7 +488,7 @@ class TestInnerSolve:
         lam = float(np.abs(A.T @ b).max()) * 2
         p = ProblemInstance(design=A, observations=b, lam=lam)
         cfg = SolverConfig()
-        alpha, iters, _ = inner_solve(p, np.zeros(15), 1.0, 1e-10, np.zeros(6), cfg)
+        alpha, iters, _, _ = inner_solve(p, np.zeros(15), 1.0, 1e-10, np.zeros(6), cfg)
         assert iters <= 2
         np.testing.assert_allclose(alpha, b, atol=1e-10)
 
@@ -505,7 +505,7 @@ class TestInnerSolve:
                 w = rng.standard_normal(24) * 0.2
                 eta = rng.uniform(1, 500)
                 eps = 1e-8
-                alpha, iters, _ = inner_solve(p, w, eta, eps, p.observations, cfg)
+                alpha, iters, _, _ = inner_solve(p, w, eta, eps, p.observations, cfg)
                 if iters >= dal._MAX_INNER_NEWTON:
                     capped += 1
                     continue
@@ -559,8 +559,8 @@ class TestProgressStopRule:
                 w = rng.standard_normal(24) * 0.2
                 eta = rng.uniform(1, 500)
                 eps = 1e-8
-                _, n_eps, _ = inner_solve(p, w, eta, eps, p.observations, cfg)
-                alpha, n_rule, _ = inner_solve(
+                _, n_eps, _, _ = inner_solve(p, w, eta, eps, p.observations, cfg)
+                alpha, n_rule, _, _ = inner_solve(
                     p, w, eta, eps, p.observations, cfg, 1.0
                 )
                 assert n_rule <= n_eps
@@ -580,11 +580,22 @@ class TestProgressStopRule:
         for seed in (1, 2, 3):
             p = generate(GenSpec(family="normal", m=64, seed=seed)).problem
             w, eta, eps = np.zeros(p.n), 1.0 / p.lam, 1e-4 * np.sqrt(p.m)
-            _, n_eps, _ = inner_solve(p, w, eta, eps, p.observations, cfg)
-            alpha, n_rule, _ = inner_solve(p, w, eta, eps, p.observations, cfg, 1.0)
+            _, n_eps, _, _ = inner_solve(p, w, eta, eps, p.observations, cfg)
+            alpha, n_rule, _, _ = inner_solve(p, w, eta, eps, p.observations, cfg, 1.0)
             assert n_rule < n_eps
             gnorm = np.linalg.norm(inner_gradient(p, w, eta, alpha))
             assert gnorm <= max(eps, multiplier_step(p, w, eta, alpha))
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_factor_that_is_not_finite_and_positive(self, factor):
+        # 0 and -1 would otherwise turn the rule off, and inf or NaN would
+        # surface only as a non-finite threshold after the first gradient.
+        p = generate(GenSpec(family="normal", m=16, seed=1)).problem
+        w, eta, eps = np.zeros(p.n), 1.0 / p.lam, 1e-4 * np.sqrt(p.m)
+        counters.reset()
+        with pytest.raises(ValueError, match="progress_factor must be finite and positive"):
+            inner_solve(p, w, eta, eps, p.observations, SolverConfig(), factor)
+        assert counters.active_column_accesses == 0
 
     def test_nonfinite_threshold_raises_numeric_error(self):
         rng = np.random.default_rng(19)

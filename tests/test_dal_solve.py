@@ -10,12 +10,14 @@ from dalsparse import (
     SolverConfig,
     dal,
     generate,
+    inner_gradient,
     outer_update,
     primal_objective,
     project_linf,
     solve,
 )
 from oracles import cd_lasso
+from test_dal_inner import multiplier_step
 
 
 def gaussian_problem(rng, m=32, n=128, lam=0.025):
@@ -178,22 +180,38 @@ class TestSolve:
         # A first-pass inner solve (progress factor 1.0) that uses all its
         # Newton steps is a cap hit only if it then misses its stop rule; on
         # this instance some meet it exactly at their last allowed step.
+        # inner_solve's fourth value is that rule at the alpha it returns.
         p = generate(GenSpec(family="normal", m=64, seed=3)).problem
         real_inner_solve = dal.inner_solve
-        full_first_passes = 0
+        calls = []
 
         def inner_solve(*args):
-            nonlocal full_first_passes
             result = real_inner_solve(*args)
-            if args[6] == 1.0 and result[1] == 2:
-                full_first_passes += 1
+            calls.append((args, result))
             return result
 
         monkeypatch.setattr(dal, "inner_solve", inner_solve)
         monkeypatch.setattr(dal, "_MAX_INNER_NEWTON", 2)
         report = solve(p, SolverConfig())
         assert report.converged
+        full_first_passes = sum(args[6] == 1.0 and steps == 2
+                                for args, (_, steps, _, _) in calls)
         assert 0 < report.inner_cap_hits < full_first_passes
+        assert all(met for _, (_, steps, _, met) in calls if steps < 2)
+        at_cap = [met for _, (_, steps, _, met) in calls if steps == 2]
+        assert any(at_cap) and not all(at_cap)
+        first_misses = [not met for args, (_, _, _, met) in calls if args[6] == 1.0]
+        assert report.inner_cap_hits == sum(first_misses)
+        checked = 0
+        for (_, w, eta, eps, _, _, factor, _), (alpha, _, _, met) in calls:
+            gnorm = np.linalg.norm(inner_gradient(p, w, eta, alpha))
+            threshold = max(eps, factor * multiplier_step(p, w, eta, alpha))
+            if abs(gnorm - threshold) <= 1e-9 * threshold:
+                continue
+            assert met == (gnorm <= threshold)
+            checked += 1
+        # Rounding can put at most a rare point that close to its threshold.
+        assert checked >= len(calls) - 1
 
     def test_wrong_initial_length_rejected(self):
         p = ProblemInstance(design=np.eye(2), observations=[1.0, 2.0], lam=0.5)
