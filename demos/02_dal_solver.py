@@ -34,8 +34,9 @@ for k, (f, g) in enumerate(zip(report.objective_trace, report.gap_trace), start=
 print()
 
 # The initial barrier weight is the one knob worth tuning per problem family;
-# 1/lambda is the default.  Larger values shrink the gap faster per outer
-# step but make the inner problems stiffer.
+# the default is 16/lambda for the Cholesky variant and 1/lambda for PCG.
+# Larger values shrink the gap faster per outer step but make the inner
+# problems stiffer.
 print("eta_initial sweep (outer iterations to gap 1e-6):")
 for eta1 in (4.0, 40.0, 400.0, 4000.0):
     rep = solve(p, SolverConfig(outer_tolerance=1e-6, eta_initial=eta1))

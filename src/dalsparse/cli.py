@@ -19,7 +19,8 @@ records a numeric error: the solve becomes a non-converged record whose
 and ``--max-outer`` default to :class:`~dalsparse.dal.SolverConfig`'s
 ``outer_tolerance`` and ``max_outer``, ``--max-ist-iters`` to
 :class:`~dalsparse.baselines.IstConfig`'s ``max_iters``, and ``--eta1`` to
-none (DAL then starts at ``1/lam``).  ``gen --seed`` and ``--density``
+none (DAL then starts at ``16/lam`` for ``dal-chol`` and ``1/lam`` for
+``dal-cg``, :data:`~dalsparse.dal._ETA_START`).  ``gen --seed`` and ``--density``
 default to :class:`~dalsparse.probgen.GenSpec`'s fields.
 
 Exit codes: 0 success (non-convergence is data, not failure), 2 usage,
@@ -114,7 +115,7 @@ def _resolved_eta(solver: str, problem, eta_initial: float | None) -> float | No
     """The initial barrier weight a DAL solve starts with; IST has none."""
     if solver not in _DAL_VARIANTS:
         return None
-    return dal._starting_eta(problem, eta_initial)
+    return dal._starting_eta(problem, eta_initial, _DAL_VARIANTS[solver])
 
 
 def _config(solver: str, tol: float, eta_initial: float | None, max_outer: int,
@@ -202,7 +203,10 @@ def _build_parser() -> argparse.ArgumentParser:
     # The solver flags of ``solve`` and ``bench``, declared once.
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument("--tol", type=float, default=SolverConfig.outer_tolerance)
-    solver_flags.add_argument("--eta1", type=float, default=None)
+    solver_flags.add_argument(
+        "--eta1", type=float, default=None,
+        help="DAL's starting barrier weight eta (default: 16/lambda for dal-chol, "
+             "1/lambda for dal-cg; capped at 1e12)")
     solver_flags.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
     solver_flags.add_argument("--max-ist-iters", type=int, default=IstConfig.max_iters)
 

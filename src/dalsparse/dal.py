@@ -30,7 +30,23 @@ Newton system (I + eta*A+ A+^T) y = -g is m x m; when k < m the Cholesky
 variant factors the smaller k x k matrix S = I + eta*A+^T A+ instead and
 returns y = -g + eta*A+ S^{-1} A+^T g (Sherman-Morrison-Woodbury), so its
 factorization cost follows the sparsity of the solution too.  Either matrix
-is factored by numpy's LAPACK and solved by two triangular solves.  Both
+is factored by numpy's LAPACK and solved by two triangular solves; the k x k
+form then makes one step of iterative refinement with the same factor,
+which removes the rounding its subtraction leaves when eta*||A+||^2 is
+large.  Exact Newton steps cost the same at any eta, so the Cholesky
+variant starts at eta_1 = 16/lam and reaches a large eta, where the outer
+rate is fast, in fewer outer iterations; PCG's conditioning worsens as eta
+grows, so it starts at 1/lam (``_ETA_START``).
+
+The k x k Gram ``A+^T A+`` does not depend on eta, and between Newton steps
+only a few of its columns change, so a solve keeps the last one, with its
+sorted column indices, on the state it carries through :func:`inner_solve`
+(``_CarriedProduct.gram``).  The next k x k Gram copies the entries of the
+columns that stay active and computes only the rows of those that enter,
+``A_enter^T A+``; every entry is still one column dot product, so nothing
+cancels.  It is built from scratch when more than half of its columns
+enter, or when the last Newton system was m x m, whose Gram is never kept:
+updating ``A+ A+^T`` would subtract the leaving columns' terms.  Both
 strategies, and the gradient, reach the active columns A+ only through
 :class:`InnerWorkspace`, the active-set operator (``matvec``, ``rmatvec``,
 ``gram``, ``smaller_gram``, ``diag``).  It gathers A+ into a copy, which
@@ -144,7 +160,9 @@ counters = OpCounters()
 
 # Per outer iteration the inner solve's gradient-norm floor, from
 # _EPS_INITIAL_SCALE*sqrt(m), shrinks by _EPS_SHRINK down to _EPS_FLOOR, and
-# eta grows by _ETA_GROWTH up to _ETA_CAP; one PCG solve takes at most
+# eta, from _ETA_START[variant]/lam, grows by _ETA_GROWTH up to _ETA_CAP
+# (Cholesky's Newton steps are exact at any eta, so it starts higher; PCG's
+# conditioning worsens as eta grows); one PCG solve takes at most
 # _PCG_MAX_ITERS iterations; a line search shrinks its step by _LS_SHRINK
 # until the Armijo test with factor _LS_SUFFICIENT_DECREASE holds, and gives
 # up below _MIN_STEP; one inner solve takes at most _MAX_INNER_NEWTON Newton
@@ -152,6 +170,7 @@ counters = OpCounters()
 _EPS_INITIAL_SCALE = 1e-4
 _EPS_SHRINK = 0.5
 _EPS_FLOOR = 1e-12
+_ETA_START = {"cholesky": 16.0, "pcg": 1.0}
 _ETA_GROWTH = 2.0
 _ETA_CAP = 1e12
 _PCG_MAX_ITERS = 500
@@ -165,7 +184,8 @@ _MAX_INNER_NEWTON = 100
 class SolverConfig:
     """Start, tolerance, outer cap and inner variant for :func:`solve`: four fields.
 
-    ``eta_initial=None`` means ``1/lam``; either is capped at ``_ETA_CAP``
+    ``eta_initial=None`` means ``16/lam`` for the Cholesky variant and
+    ``1/lam`` for PCG (``_ETA_START``); either is capped at ``_ETA_CAP``
     (:func:`_starting_eta`) and doubles per outer iteration (``_ETA_GROWTH``).
     The inner solve stops on primal progress (see the module docstring) or
     at the gradient-norm floor eps_k, which starts at ``1e-4*sqrt(m)`` and
@@ -188,9 +208,12 @@ class SolverConfig:
             raise ValueError(f"inner_variant must be one of {INNER_VARIANTS}")
 
 
-def _starting_eta(p: ProblemInstance, eta_initial: float | None) -> float:
-    """The eta a solve starts with: ``eta_initial``, else ``1/lam``, capped."""
-    return min(eta_initial if eta_initial is not None else 1.0 / p.lam, _ETA_CAP)
+def _starting_eta(p: ProblemInstance, eta_initial: float | None, variant: str) -> float:
+    """The eta a solve with inner ``variant`` starts with: ``eta_initial``,
+    else ``_ETA_START[variant]/lam``, capped."""
+    if eta_initial is None:
+        eta_initial = _ETA_START[variant] / p.lam
+    return min(eta_initial, _ETA_CAP)
 
 
 @dataclass(frozen=True)
@@ -259,13 +282,41 @@ class InnerWorkspace:
         counters.active_column_accesses += int(self.active.size)
         return self.active_cols @ self.active_cols.T
 
-    def smaller_gram(self) -> np.ndarray:
+    def smaller_gram(self, last=None) -> np.ndarray:
         """The smaller Gram matrix of A+: A+ A+^T as :meth:`gram` when k >= m,
-        else the k x k A+^T A+.  Adds k to :data:`counters` either way."""
-        if self.active.size >= self.p.m:
+        else the k x k A+^T A+.  Adds k to :data:`counters` either way.
+
+        ``last`` may be the ``(columns, A[:, columns]^T A[:, columns])`` of an
+        earlier workspace on the same design, columns sorted.  The k x k form
+        then copies the entries of the columns that stay active and computes
+        only the rows of those that enter, ``A_enter^T A+``, unless they are
+        more than half of k.  ``last`` itself is never changed.
+        """
+        k = int(self.active.size)
+        if k >= self.p.m:
             return self.gram()
-        counters.active_column_accesses += int(self.active.size)
-        return self.active_cols.T @ self.active_cols
+        counters.active_column_accesses += k
+        cols = self.active_cols
+        if last is None:
+            return cols.T @ cols
+        kept, kept_gram = last
+        _, old_at, new_at = np.intersect1d(
+            kept, self.active, assume_unique=True, return_indices=True
+        )
+        enter = np.setdiff1d(np.arange(k), new_at, assume_unique=True)
+        if 2 * enter.size > k:
+            return cols.T @ cols
+        # Border the kept Gram with the entering rows; src maps each active
+        # position to its row there, and two takes put it in the new order.
+        rows = cols[:, enter].T @ cols
+        src = np.empty(k, np.intp)
+        src[new_at] = old_at
+        src[enter] = kept.size + np.arange(enter.size)
+        bordered = np.empty((kept.size + enter.size,) * 2)
+        bordered[:kept.size, :kept.size] = kept_gram
+        bordered[kept.size:, src] = rows
+        bordered[src, kept.size:] = rows.T
+        return bordered.take(src, 0).take(src, 1)
 
     def diag(self) -> np.ndarray:
         """diag(A+ A+^T): row sums of the squared active columns."""
@@ -348,12 +399,17 @@ def _check_gradient(grad):
         raise NumericError("non-finite gradient passed to Newton solve")
 
 
-def _newton_cholesky(ws, grad):
+def _newton_cholesky(ws, grad, carried=None):
     _check_gradient(grad)
     if ws.active.size == 0:
         return -grad
-    hess = ws.smaller_gram()
-    hess *= ws.eta
+    if carried is None:
+        gram = ws.smaller_gram()
+    else:
+        gram = ws.smaller_gram(carried.gram)
+        carried.gram = (ws.active, gram) if ws.active.size < ws.p.m else None
+    # A new array: a kept Gram is never changed.
+    hess = ws.eta * gram
     hess[np.diag_indices_from(hess)] += 1.0
     if not np.all(np.isfinite(hess)):
         raise NumericError("non-finite Hessian assembled")
@@ -362,7 +418,15 @@ def _newton_cholesky(ws, grad):
         return cho_solve(factor, -grad)
     # Woodbury: (I + eta*A+ A+^T)^{-1} = I - eta*A+ (I + eta*A+^T A+)^{-1} A+^T.
     cols = ws.active_cols
-    return ws.eta * (cols @ cho_solve(factor, cols.T @ grad)) - grad
+
+    def woodbury(rhs):
+        return rhs - ws.eta * (cols @ cho_solve(factor, cols.T @ rhs))
+
+    # Its subtraction cancels where grad lies near the range of A+, leaving a
+    # residual near eps*eta*||A+||^2*||grad||; one step of iterative
+    # refinement on the m x m system removes it.
+    y = woodbury(-grad)
+    return y + woodbury(-grad - y - ws.eta * (cols @ (cols.T @ y)))
 
 
 def newton_direction_cholesky(
@@ -376,7 +440,8 @@ def newton_direction_cholesky(
 
     With k active columns and k < m the factored matrix is the k x k
     I + eta*A+^T A+, and y = -grad + eta*A+ (I + eta*A+^T A+)^{-1} A+^T grad
-    (Sherman-Morrison-Woodbury); otherwise it is the m x m Hessian itself.
+    (Sherman-Morrison-Woodbury), refined by one more such solve on its
+    residual; otherwise it is the m x m Hessian itself.
     Either way the workspace adds k to :data:`counters`.  A non-finite
     ``grad`` raises :class:`NumericError` before any of it.
     """
@@ -444,13 +509,16 @@ class _CarriedProduct:
     is |q_j| itself, for q_j = (A^T alpha)_j + shift_j.  Elsewhere
     ``design_t_alpha`` holds its value at an earlier alpha, and all that is
     known is |q_j| <= upper_j <= lam: the column is inactive.  ``shift`` is
-    w/eta.
+    w/eta.  ``gram`` is the last Cholesky Newton step's ``(active,
+    A+^T A+)`` when it took the k x k form, else None (see the module
+    docstring); it is replaced, never changed in place.
     """
 
     shift: np.ndarray
     design_t_alpha: np.ndarray
     upper: np.ndarray
     exact: np.ndarray
+    gram: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def start(cls, shift, design_t_alpha):
@@ -624,8 +692,9 @@ def inner_solve(
     line search makes the products :func:`_line_search` lists.  ``carried``,
     the 8th parameter, is :func:`solve`'s :class:`_CarriedProduct` at
     ``alpha_start`` and shift ``w/eta``, whose stale entries are inactive; it
-    is advanced in place to the returned alpha.  Without it the state starts
-    here, exact everywhere, from one fresh ``A^T alpha_start``.
+    is advanced in place to the returned alpha, and a Cholesky step reads and
+    replaces its kept Gram.  Without it the state starts here, exact
+    everywhere, from one fresh ``A^T alpha_start``, with no Gram kept.
     """
     _check_positive("eps", eps)
     _check_positive("eta", eta)
@@ -646,7 +715,7 @@ def inner_solve(
         if met or newton_iters == _MAX_INNER_NEWTON:
             return alpha, newton_iters, pcg_iters, met
         if config.inner_variant == "cholesky":
-            direction = _newton_cholesky(ws, grad)
+            direction = _newton_cholesky(ws, grad, carried)
         else:
             forcing = min(0.1, math.sqrt(gnorm))
             direction, used = _newton_pcg(ws, grad, forcing, _PCG_MAX_ITERS)
@@ -697,7 +766,7 @@ def solve(
         config = SolverConfig()
     start = time.perf_counter()
     w = _starting_point(p, w_initial)
-    eta = _starting_eta(p, config.eta_initial)
+    eta = _starting_eta(p, config.eta_initial, config.inner_variant)
     eps = _EPS_INITIAL_SCALE * math.sqrt(p.m)
     objective_trace: list[float] = []
     gap_trace: list[float] = []

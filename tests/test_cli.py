@@ -20,6 +20,7 @@ from dalsparse import (
     SolverConfig,
     baselines,
     cli,
+    dal,
     ist_solve,
     load_problem,
     probgen,
@@ -138,6 +139,46 @@ class TestGen:
         assert "normal_m8_n32_seed2.dalp" in stdout
 
 
+class TestDefaultStart:
+    """Without ``--eta1``, dal-chol starts at 16/lambda and dal-cg at
+    1/lambda; ``--eta1`` sets both, and the 1e12 cap bounds both.  The
+    recorded eta is the one the first inner solve ran at."""
+
+    DEFAULT = [("dal-chol", 16.0), ("dal-cg", 1.0)]
+
+    @pytest.fixture()
+    def first_etas(self, monkeypatch):
+        etas = []
+        real_inner_solve = dal.inner_solve
+
+        def inner_solve(*args):
+            etas.append(args[2])
+            return real_inner_solve(*args)
+
+        monkeypatch.setattr(dal, "inner_solve", inner_solve)
+        return etas
+
+    @pytest.mark.parametrize("solver, scale", DEFAULT)
+    def test_run_solver_starts_at_the_variant_default(self, first_etas, solver, scale):
+        p = probgen.generate(GenSpec(family="normal", m=16, seed=1)).problem
+        _, eta = cli.run_solver(solver, p, 1e-3)
+        assert eta == scale / p.lam == first_etas[0]
+
+    @pytest.mark.parametrize("solver", ["dal-chol", "dal-cg"])
+    @pytest.mark.parametrize("eta1, started", [(3.0, 3.0), (1e13, 1e12)])
+    def test_eta1_overrides_and_cap_bounds_both(self, first_etas, solver, eta1, started):
+        p = probgen.generate(GenSpec(family="normal", m=16, seed=1)).problem
+        _, eta = cli.run_solver(solver, p, 1e-3, eta_initial=eta1)
+        assert eta == started == first_etas[0]
+
+    @pytest.mark.parametrize("solver", ["dal-chol", "dal-cg"])
+    def test_cap_bounds_the_default_start(self, first_etas, monkeypatch, solver):
+        p = probgen.generate(GenSpec(family="normal", m=16, seed=1)).problem
+        monkeypatch.setattr(dal, "_ETA_CAP", 0.5 / p.lam)
+        _, eta = cli.run_solver(solver, p, 1e-3, max_outer=1)
+        assert eta == 0.5 / p.lam == first_etas[0]
+
+
 class TestSolve:
     @pytest.fixture()
     def problem_file(self, tmp_path, capsys):
@@ -157,7 +198,7 @@ class TestSolve:
         assert record["converged"] is True
         assert record["final_gap"] <= 1e-3
         assert record["m"] == 32 and record["n"] == 128
-        assert record["eta_initial"] == pytest.approx(1 / 0.025)
+        assert record["eta_initial"] == pytest.approx(16 / 0.025)
         assert "converged" in stderr
 
     def test_variants_agree_on_same_file(self, problem_file, capsys):
@@ -213,6 +254,17 @@ class TestSolve:
         assert code == 3
         assert stdout == ""
         assert "invalid header" in stderr
+
+    @pytest.mark.parametrize("solver, scale", TestDefaultStart.DEFAULT)
+    @pytest.mark.parametrize("eta1", [None, "3.0"])
+    def test_eta_record_is_the_variant_start(self, problem_file, capsys, solver, scale,
+                                             eta1):
+        argv = ["solve", str(problem_file), "--solver", solver, "--tol", "1e-3"]
+        code, stdout, _ = run_main(argv + ([] if eta1 is None else ["--eta1", eta1]), capsys)
+        assert code == 0
+        record = json.loads(stdout.strip().splitlines()[-1])
+        expected = scale / 0.025 if eta1 is None else float(eta1)
+        assert record["eta_initial"] == pytest.approx(expected, rel=1e-15)
 
     def test_eta_record_is_the_capped_start(self, problem_file, capsys):
         # dal.solve never starts eta above 1e12; the record says what it ran.
@@ -293,6 +345,28 @@ class TestBench:
         agg = strip_time_columns(read_csv(tmp_path / "a_agg.csv"))
         agg3 = strip_time_columns(read_csv(tmp_path / "c_agg.csv"))
         assert agg == agg3
+
+    def test_dal_chol_worker_invariant(self, tmp_path, capsys, monkeypatch):
+        # Each dal-chol solve keeps its own k x k Gram across its Newton
+        # steps; solves on three threads must give what one thread gives.
+        argv = ["bench", "--family", "normal", "--sizes", "32,64", "--seeds", "1..3",
+                "--solvers", "dal-chol,dal-cg", "--tol", "1e-6"]
+        kept = []
+        real_smaller_gram = dal.InnerWorkspace.smaller_gram
+
+        def smaller_gram(ws, last=None):
+            kept.append(last is not None)
+            return real_smaller_gram(ws, last)
+
+        monkeypatch.setattr(dal.InnerWorkspace, "smaller_gram", smaller_gram)
+        rows = []
+        for workers in ("1", "3"):
+            out = tmp_path / f"w{workers}.csv"
+            assert run_main(argv + ["--out", str(out), "--workers", workers], capsys)[0] == 0
+            rows.append(strip_time_columns(read_csv(out)))
+        assert any(kept)
+        assert len(rows[0]) == 1 + 2 * 3 * 2
+        assert rows[0] == rows[1]
 
     def test_aggregate_medians_match_rows(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -572,7 +646,7 @@ class TestFailedSolveRecord:
         assert rec["error"].startswith(("LineSearchError: ", "NumericError: ",
                                         "FloatingPointError: "))
         assert rec["converged"] is False
-        assert rec["eta_initial"] == pytest.approx(1 / gen.problem.lam)
+        assert rec["eta_initial"] == pytest.approx(16 / gen.problem.lam)
 
     def test_failed_record_is_strict_json(self, tmp_path, capsys):
         gen = probgen.generate(probgen.GenSpec(family="normal", m=8, seed=1))

@@ -23,6 +23,7 @@ from dalsparse import (
     newton_direction_pcg,
     project_linf,
     soft_threshold,
+    solve,
 )
 from dalsparse import dal
 
@@ -656,15 +657,21 @@ class TestActiveSetOperator:
             assert counters.active_column_accesses == touches
 
 
+def point_with_active_set(p, active, eta, rng):
+    """w and alpha whose workspace at ``eta`` has exactly the columns
+    ``active`` active, with |q_j| = lam + 1 there and q_j = 0 elsewhere."""
+    alpha = rng.standard_normal(p.m)
+    target = np.zeros(p.n)
+    target[active] = (p.lam + 1.0) * rng.choice([-1.0, 1.0], size=len(active))
+    return eta * (target - p.design.T @ alpha), alpha
+
+
 def problem_with_active_set(m, n, k, eta, seed):
     """A problem, w and alpha whose workspace has exactly the first k columns
     active, with |q_j| = lam + 1 there and q_j = 0 elsewhere."""
     rng = np.random.default_rng(seed)
     p = random_problem(rng, m=m, n=n, lam=0.1)
-    alpha = rng.standard_normal(m)
-    target = np.zeros(n)
-    target[:k] = (p.lam + 1.0) * rng.choice([-1.0, 1.0], size=k)
-    w = eta * (target - p.design.T @ alpha)
+    w, alpha = point_with_active_set(p, np.arange(k), eta, rng)
     return p, w, alpha
 
 
@@ -706,6 +713,93 @@ class TestNewtonSystemForm:
         hess = explicit_hessian(p, w, eta, alpha)
         resid = np.linalg.norm(hess @ y + grad)
         assert resid <= 1e-10 * (1 + np.linalg.norm(grad))
+
+
+class TestKeptGram:
+    """Replayed over the active sets of the Cholesky steps of real solves, a
+    k x k Gram built from the one kept at the last step matches a fresh
+    A+^T A+, leaves the kept one as it was, and gives a direction that meets
+    TestNewtonSystemForm's bound; each smaller_gram call counts k columns."""
+
+    # (family, size, seed, random start, eta_initial times lam): the
+    # largescale solve starts with k >= m, switches to k < m, rebuilds when
+    # more than half of k enters, and has steps where columns both enter
+    # and leave.
+    CASES = [
+        ("normal", dict(m=64), 1, False, None),
+        ("largescale", dict(n=4096), 1, True, 1.0),
+    ]
+
+    @staticmethod
+    def active_sets(monkeypatch, family, size, seed, random_start, eta_scale):
+        p = generate(GenSpec(family=family, seed=seed, **size)).problem
+        w_initial = np.random.default_rng(seed).standard_normal(p.n) if random_start else None
+        eta_initial = None if eta_scale is None else eta_scale / p.lam
+        sets = []
+        real = dal._newton_cholesky
+
+        def newton_cholesky(ws, grad, carried=None):
+            sets.append(ws.active.copy())
+            return real(ws, grad, carried)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dal, "_newton_cholesky", newton_cholesky)
+            assert solve(p, SolverConfig(eta_initial=eta_initial), w_initial).converged
+        return p, sets
+
+    @pytest.mark.parametrize("eta", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("case", CASES, ids=["normal-64", "largescale-4096"])
+    def test_replayed_steps_match_a_fresh_gram(self, monkeypatch, case, eta):
+        p, sets = self.active_sets(monkeypatch, *case)
+        touches = []
+        real_smaller_gram = dal.InnerWorkspace.smaller_gram
+
+        def smaller_gram(ws, *args):
+            before = counters.active_column_accesses
+            gram = real_smaller_gram(ws, *args)
+            touches.append((int(ws.active.size), counters.active_column_accesses - before))
+            return gram
+
+        monkeypatch.setattr(dal.InnerWorkspace, "smaller_gram", smaller_gram)
+        rng = np.random.default_rng(0)
+        carried = dal._CarriedProduct.start(np.zeros(p.n), np.zeros(p.n))
+        paths = set()
+        for active in sets:
+            w, alpha = point_with_active_set(p, active, eta, rng)
+            ws = inner_workspace(p, w, eta, alpha)
+            np.testing.assert_array_equal(ws.active, active)
+            grad = inner_gradient(p, w, eta, alpha)
+            last = carried.gram
+            last_gram = None if last is None else last[1].copy()
+            touches.clear()
+            y = dal._newton_cholesky(ws, grad, carried)
+            k = active.size
+            assert touches == ([(k, k)] if k else [])
+            if last is not None:
+                np.testing.assert_array_equal(last[1], last_gram)
+            if 0 < k < p.m:
+                cols, kept = carried.gram
+                np.testing.assert_array_equal(cols, active)
+                fresh = ws.active_cols.T @ ws.active_cols
+                assert np.abs(kept - fresh).max() <= 1e-12 * np.abs(fresh).max()
+                if last is None:
+                    paths.add("fresh")
+                else:
+                    entering = np.setdiff1d(active, last[0]).size
+                    leaving = np.setdiff1d(last[0], active).size
+                    paths.add(("kept", entering > 0, leaving > 0) if 2 * entering <= k
+                              else "rebuild")
+            else:
+                assert carried.gram is None
+                paths.add("m x m" if k else "empty")
+            hess = explicit_hessian(p, w, eta, alpha)
+            resid = np.linalg.norm(hess @ y + grad)
+            assert resid <= 1e-10 * (1 + np.linalg.norm(grad))
+        if case[0] == "largescale":
+            assert {"m x m", "rebuild", ("kept", True, True)} <= paths
+            assert sets[0].size >= p.m > sets[-1].size
+        else:
+            assert {("kept", True, False), ("kept", False, True)} <= paths
 
 
 class TestCholeskyFactor:

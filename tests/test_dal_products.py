@@ -286,7 +286,10 @@ def watched_solve(monkeypatch, case, after_inner=None, on_workspace=None):
     monkeypatch.setattr(dal, "inner_solve", inner_solve)
     monkeypatch.setattr(dal, "inner_workspace", inner_workspace)
     monkeypatch.setattr(dal._CarriedProduct, "rebase", rebase)
-    report = solve(p, SolverConfig(outer_tolerance=1e-6, inner_variant=variant), w_initial)
+    # The cases were picked on the schedule from 1/lam, where each reaches
+    # the retries and lifts it names; the Cholesky default of 16/lam may not.
+    config = SolverConfig(eta_initial=1 / p.lam, outer_tolerance=1e-6, inner_variant=variant)
+    report = solve(p, config, w_initial)
     assert report.converged
     assert (min(factors) < 1.0) == retries
     assert (max(lifted) > 0) == lifts

@@ -192,7 +192,8 @@ class TestSolve:
 
         monkeypatch.setattr(dal, "inner_solve", inner_solve)
         monkeypatch.setattr(dal, "_MAX_INNER_NEWTON", 2)
-        report = solve(p, SolverConfig())
+        # From 1/lam: the Cholesky default of 16/lam has no cap hit here.
+        report = solve(p, SolverConfig(eta_initial=1 / p.lam))
         assert report.converged
         full_first_passes = sum(args[6] == 1.0 and steps == 2
                                 for args, (_, steps, _, _) in calls)
@@ -212,6 +213,27 @@ class TestSolve:
             checked += 1
         # Rounding can put at most a rare point that close to its threshold.
         assert checked >= len(calls) - 1
+
+    def test_back_to_back_solves_match_solves_in_the_other_order(self):
+        # No state outlives a solve (dal-chol keeps its Gram in the solve's
+        # own state): two same-shaped problems, each generated anew and freed
+        # after its solve, so a later one may reuse its id, give the same
+        # reports whichever is solved first.
+        def solved(order):
+            reports = {}
+            for seed in order:
+                p = generate(GenSpec(family="normal", m=64, seed=seed)).problem
+                reports[seed] = solve(p, SolverConfig(outer_tolerance=1e-6))
+                del p
+            return reports
+
+        first, second = solved((1, 2)), solved((2, 1))
+        for seed in (1, 2):
+            a, b = first[seed], second[seed]
+            assert a.converged and b.converged
+            np.testing.assert_array_equal(a.w_final, b.w_final)
+            assert (a.outer_iters, a.inner_newton_iters, a.gap_trace) == (
+                b.outer_iters, b.inner_newton_iters, b.gap_trace)
 
     def test_wrong_initial_length_rejected(self):
         p = ProblemInstance(design=np.eye(2), observations=[1.0, 2.0], lam=0.5)
@@ -282,8 +304,9 @@ class TestFeasibleStart:
 
 class TestSchedule:
     """Each outer iteration doubles eta up to 1e12 and halves the inner
-    floor eps down to 1e-12, from eps_1 = 1e-4*sqrt(m); both are exact in
-    binary, so the first-pass inner solves see exactly these values."""
+    floor eps down to 1e-12, from the Cholesky default eta_1 = 16/lam and
+    eps_1 = 1e-4*sqrt(m); both are exact in binary, so the first-pass inner
+    solves see exactly these values."""
 
     def test_eta_doubles_and_eps_halves_to_their_caps(self, monkeypatch):
         p = generate(GenSpec(family="normal", m=16, seed=1)).problem
@@ -299,7 +322,7 @@ class TestSchedule:
         report = solve(p, SolverConfig(outer_tolerance=1e-300, max_outer=40))
         assert report.outer_iters == len(first_passes) == 40
         eta, eps = first_passes[0]
-        assert eta == 1.0 / p.lam
+        assert eta == 16.0 / p.lam
         assert eps == 1e-4 * np.sqrt(p.m)
         for eta_next, eps_next in first_passes[1:]:
             assert eta_next == min(2.0 * eta, 1e12)
