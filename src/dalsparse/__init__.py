@@ -34,7 +34,6 @@ from .probgen import (
     DalpFormatError,
     GeneratedProblem,
     GenSpec,
-    LambdaRule,
     export_problem_csv,
     gen_gaussian_design,
     gen_sparse_coeffs,
@@ -62,7 +61,6 @@ __all__ = [
     "GenSpec",
     "GeneratedProblem",
     "IstConfig",
-    "LambdaRule",
     "LineSearchError",
     "NumericError",
     "ProblemInstance",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import relative_duality_gap
-from .dal import NumericError, SolveReport, SolverConfig
+from .dal import NumericError, SolveReport, SolverConfig, _report
 from .probgen import _rng
 from .prox import (
     ProblemInstance, _check_cap, _check_positive, _primal_value, _residual, _starting_point,
@@ -158,8 +158,6 @@ def ist_solve(
     objective_trace: list[float] = []
     gap_trace: list[float] = []
     converged = False
-    iters = 0
-    gap = math.inf
     w_prev = None
     grad_prev = None
     for it in range(config.max_iters + 1):
@@ -168,7 +166,6 @@ def ist_solve(
         gap = relative_duality_gap(p, w, residual, grad)
         objective_trace.append(primal)
         gap_trace.append(gap)
-        iters = it
         if gap <= config.tolerance:
             converged = True
             break
@@ -189,15 +186,4 @@ def ist_solve(
                 break
             tau = max(0.5 * tau, TAU_MIN)
         grad = p.design.T @ residual
-    wall = time.perf_counter() - start
-    return SolveReport(
-        w_final=w,
-        primal_value=primal,
-        relative_gap=gap,
-        outer_iters=iters,
-        wall_time_seconds=wall,
-        nnz_fraction=float(np.count_nonzero(w)) / p.n,
-        converged=converged,
-        objective_trace=objective_trace,
-        gap_trace=gap_trace,
-    )
+    return _report(start, w, objective_trace, gap_trace, len(objective_trace) - 1, converged)

@@ -58,7 +58,7 @@ import numpy as np
 from . import dal, probgen
 from .baselines import IstConfig, ist_solve
 from .dal import LineSearchError, NumericError, SolveReport, SolverConfig, solve
-from .probgen import DalpFormatError, GenSpec, LambdaRule
+from .probgen import DalpFormatError, GenSpec
 
 # Each DAL solver id and the SolverConfig.inner_variant it runs.
 _DAL_VARIANTS = {"dal-chol": "cholesky", "dal-cg": "pcg"}
@@ -256,14 +256,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _gen_spec_from_args(args) -> GenSpec:
-    rule = LambdaRule("fixed", args.lam) if args.lam is not None else None
     return GenSpec(
         family=args.family,
         m=args.m,
         n=args.n,
         density=args.density,
         noise_variance=args.noise_variance,
-        lambda_rule=rule,
+        lam=args.lam,
         seed=args.seed,
     )
 

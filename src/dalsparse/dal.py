@@ -224,10 +224,12 @@ class SolveReport:
     forms the residual certificate only once the gap of its scaled multiplier
     meets the tolerance; entries that skipped it hold that multiplier gap,
     which is still a sound upper bound.  ``relative_gap`` of a converged
-    solve is always the residual gap.  ``wall_time_seconds`` runs from the
-    solver's entry to its return.  The last three counts are DAL's inner
-    effort and stay 0 for IST: Newton steps, CG iterations, and cap hits:
-    first-pass inner solves whose returned alpha misses its stop rule.
+    solve is always the residual gap.  ``primal_value`` and ``relative_gap``
+    are the last entries of ``objective_trace`` and ``gap_trace``.
+    ``wall_time_seconds`` runs from the solver's entry to its return.  The
+    last three counts are DAL's inner effort and stay 0 for IST: Newton
+    steps, CG iterations, and cap hits: first-pass inner solves whose
+    returned alpha misses its stop rule.
     """
 
     w_final: np.ndarray
@@ -242,6 +244,26 @@ class SolveReport:
     inner_newton_iters: int = 0
     pcg_iters_total: int = 0
     inner_cap_hits: int = 0
+
+
+def _report(start, w, objective_trace, gap_trace, outer_iters, converged,
+            newton_iters=0, pcg_iters=0, cap_hits=0) -> SolveReport:
+    """The report of a solve entered at ``start`` (``time.perf_counter``) and
+    ending at ``w``; both traces hold at least one entry."""
+    return SolveReport(
+        w_final=w,
+        primal_value=objective_trace[-1],
+        relative_gap=gap_trace[-1],
+        outer_iters=outer_iters,
+        wall_time_seconds=time.perf_counter() - start,
+        nnz_fraction=float(np.count_nonzero(w)) / w.size,
+        converged=converged,
+        objective_trace=objective_trace,
+        gap_trace=gap_trace,
+        inner_newton_iters=newton_iters,
+        pcg_iters_total=pcg_iters,
+        inner_cap_hits=cap_hits,
+    )
 
 
 def compute_active_set(q: np.ndarray, lam: float) -> np.ndarray:
@@ -772,8 +794,6 @@ def solve(
     gap_trace: list[float] = []
     newton_total = pcg_total = cap_hits = 0
     converged = False
-    primal = math.inf
-    gap = math.inf
     # Start at b scaled into the dual feasible set, as certificates scale
     # their candidates (see the module docstring), with the carried state at
     # that alpha.
@@ -826,19 +846,6 @@ def solve(
         if converged:
             break
         eta = eta_next
-        eps = max(eps * _EPS_SHRINK, _EPS_FLOOR)
-    wall = time.perf_counter() - start
-    return SolveReport(
-        w_final=w,
-        primal_value=primal,
-        relative_gap=gap,
-        outer_iters=len(objective_trace),
-        wall_time_seconds=wall,
-        nnz_fraction=float(np.count_nonzero(w)) / p.n,
-        converged=converged,
-        objective_trace=objective_trace,
-        gap_trace=gap_trace,
-        inner_newton_iters=newton_total,
-        pcg_iters_total=pcg_total,
-        inner_cap_hits=cap_hits,
-    )
+        eps *= _EPS_SHRINK
+    return _report(start, w, objective_trace, gap_trace, len(objective_trace), converged,
+                   newton_total, pcg_total, cap_hits)

@@ -50,29 +50,13 @@ class DalpFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class LambdaRule:
-    """Regularization rule: a fixed value or coefficient/sqrt(n)."""
-
-    kind: str  # "fixed" | "inv-sqrt-n"
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "inv-sqrt-n"):
-            raise ValueError(f"unknown lambda rule kind {self.kind!r}")
-        _check_positive("lambda rule value", self.value)
-
-    def resolve(self, n: int) -> float:
-        if self.kind == "fixed":
-            return self.value
-        return self.value / math.sqrt(n)
-
-
-@dataclass(frozen=True)
 class GenSpec:
     """Generation request; unset fields resolve to family defaults.
 
     ``normal`` and ``poor`` require m (n defaults to 4m); ``largescale``
     requires n (m defaults to 1024).  m, n and ``seed`` are integers.
+    ``lam``, when given, is finite and positive; it defaults to 0.025 for
+    ``normal``, 0.0003 for ``poor`` and 1.6/sqrt(n) for ``largescale``.
     """
 
     family: str
@@ -80,7 +64,7 @@ class GenSpec:
     n: int | None = None
     density: float = 0.04
     noise_variance: float | None = None
-    lambda_rule: LambdaRule | None = None
+    lam: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -96,12 +80,15 @@ class GenSpec:
             )
         if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must lie in [0, 2**64) as an integer, got {self.seed!r}")
+        if self.lam is not None:
+            _check_positive("lam", self.lam)
 
 
+# Each family's default for every unset field, as a function of n.
 _FAMILY_DEFAULTS = {
-    "normal": dict(noise_variance=1e-4, lambda_rule=LambdaRule("fixed", 0.025)),
-    "poor": dict(noise_variance=0.0, lambda_rule=LambdaRule("fixed", 0.0003)),
-    "largescale": dict(noise_variance=1e-4, lambda_rule=LambdaRule("inv-sqrt-n", 1.6)),
+    "normal": dict(noise_variance=lambda n: 1e-4, lam=lambda n: 0.025),
+    "poor": dict(noise_variance=lambda n: 0.0, lam=lambda n: 0.0003),
+    "largescale": dict(noise_variance=lambda n: 1e-4, lam=lambda n: 1.6 / math.sqrt(n)),
 }
 
 
@@ -125,7 +112,7 @@ def resolve_spec(spec: GenSpec) -> GenSpec:
             f"poor-conditioning generation needs a full SVD; "
             f"m is capped at {MAX_POOR_CONDITIONING_M}"
         )
-    unset = {name: value for name, value in _FAMILY_DEFAULTS[spec.family].items()
+    unset = {name: default(n) for name, default in _FAMILY_DEFAULTS[spec.family].items()
              if getattr(spec, name) is None}
     return replace(spec, m=m, n=n, **unset)
 
@@ -211,8 +198,7 @@ def generate(spec: GenSpec) -> GeneratedProblem:
     w0 = _sparse_coeffs(rng, spec.n, spec.density)
     noise = rng.standard_normal(spec.m) * math.sqrt(spec.noise_variance)
     observations = design @ w0 + noise
-    lam = spec.lambda_rule.resolve(spec.n)
-    problem = ProblemInstance(design=design, observations=observations, lam=lam)
+    problem = ProblemInstance(design=design, observations=observations, lam=spec.lam)
     return GeneratedProblem(problem=problem, true_coeffs=w0, seed=spec.seed)
 
 

@@ -70,6 +70,18 @@ class TestGen:
         assert gen.problem.m == 1024
         assert gen.problem.lam == pytest.approx(0.025)
 
+    def test_lam_overrides_the_family_rule(self, tmp_path, capsys):
+        out = tmp_path / "q.dalp"
+        code, _, _ = run_main(["gen", "--family", "normal", "--m", "64", "--seed", "3",
+                               "--lam", "0.05", "--out", str(out)], capsys)
+        assert code == 0
+        assert load_problem(out).problem.lam == 0.05
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--family", "normal", "--m", "64", "--lam", "0",
+                  "--out", str(tmp_path / "x.dalp")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.dalp").exists()
+
     def test_missing_m_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--family", "normal", "--seed", "1",
@@ -109,7 +121,7 @@ class TestGen:
             main(["gen", "--family", "normal", "--m", "8", "--lam", "inf",
                   "--out", str(out)])
         assert exc.value.code == 2
-        assert "dalbench: error: lambda rule value" in capsys.readouterr().err
+        assert "dalbench: error: lam must be finite and positive" in capsys.readouterr().err
         assert generate_calls == []
         assert not out.exists()
 

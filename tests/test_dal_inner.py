@@ -8,6 +8,7 @@ import pytest
 
 from dalsparse import (
     GenSpec,
+    LineSearchError,
     NumericError,
     ProblemInstance,
     SolverConfig,
@@ -430,6 +431,33 @@ class TestLineSearch:
             values.append(inner_objective(p, w, eta, alpha))
         assert any(s < 1.0 for s in steps)
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+    def test_ascent_direction_raises_after_bounded_backtracking(self, monkeypatch):
+        # At alpha = b, with lam above ||A^T b||_inf, the inner objective is 0,
+        # its minimum, so every direction d ascends.  The gradient -d makes d
+        # pass the descent test, and no step meets Armijo's strict decrease.
+        rng = np.random.default_rng(17)
+        A = rng.standard_normal((5, 12)) * 0.1
+        b = rng.standard_normal(5)
+        p = ProblemInstance(design=A, observations=b, lam=2 * float(np.abs(A.T @ b).max()))
+        w = np.zeros(12)
+        direction = rng.standard_normal(5)
+        carried = dal._CarriedProduct.start(w, A.T @ b)
+        ws = inner_workspace(p, w, 1.0, b, carried.design_t_alpha)
+        real_objective = dal._objective_from_q
+        values = []
+
+        def objective(*args):
+            values.append(real_objective(*args))
+            return values[-1]
+
+        monkeypatch.setattr(dal, "_objective_from_q", objective)
+        with pytest.raises(LineSearchError, match="step underflow"):
+            dal._line_search(ws, direction, -direction, carried)
+        # The start, then one trial per step 1, 1/2, ..., 2**-53 >= _MIN_STEP.
+        assert len(values) == 1 + 54
+        assert values[0] == 0.0 and min(values[1:]) > 0.0
 
 
 class TestInnerSolve:

@@ -253,6 +253,19 @@ class TestSolve:
             solve(p)
 
 
+    @pytest.mark.parametrize("variant", ["cholesky", "pcg"])
+    def test_nonfinite_primal_raises_without_a_report(self, variant):
+        # Opposite columns: A w = 0, while ||w||_1 = 3e308 overflows, and the
+        # multiplier update leaves so large a w unchanged.
+        p = ProblemInstance(design=[[1.0, -1.0]], observations=[1.0], lam=1.0)
+        reports = []
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match="primal objective became non-finite at outer step 1"
+        ):
+            reports.append(solve(p, SolverConfig(inner_variant=variant),
+                                 w_initial=[1.5e308, 1.5e308]))
+        assert reports == []
+
 class TestFeasibleStart:
     """solve() starts its first inner problem at b scaled into the dual
     feasible set ||A^T alpha||_inf <= lam, with the matching A^T alpha."""

@@ -1,12 +1,13 @@
 """Generators: determinism, statistics, spectra, container format."""
 
+import math
+
 import numpy as np
 import pytest
 
 from dalsparse import (
     DalpFormatError,
     GenSpec,
-    LambdaRule,
     SolverConfig,
     estimate_spectral_norm_sq,
     export_problem_csv,
@@ -135,20 +136,21 @@ class TestGenerate:
         with pytest.raises(ValueError, match="must be an integer of at least 1"):
             gen_gaussian_design(size.get("m", 8), size.get("n", 32), seed=1)
 
+    def test_family_lam_defaults_are_exact(self):
+        assert resolve_spec(GenSpec(family="normal", m=16)).lam == 0.025
+        assert resolve_spec(GenSpec(family="poor", m=16)).lam == 0.0003
+        assert resolve_spec(GenSpec(family="largescale", n=64)).lam == 1.6 / math.sqrt(64)
+        gen = generate(GenSpec("largescale", n=4096, seed=1))
+        assert gen.problem.lam == 1.6 / math.sqrt(4096)
+
     def test_lambda_rule_override(self):
-        gen = generate(GenSpec(family="normal", m=16,
-                               lambda_rule=LambdaRule("fixed", 0.4), seed=15))
+        gen = generate(GenSpec(family="normal", m=16, lam=0.4, seed=15))
         assert gen.problem.lam == 0.4
 
     @pytest.mark.parametrize("value", [0.0, -0.4, np.inf, np.nan])
     def test_lambda_rule_value_must_be_finite_and_positive(self, value):
-        for kind in ("fixed", "inv-sqrt-n"):
-            with pytest.raises(ValueError, match="lambda rule value"):
-                LambdaRule(kind, value)
-
-    def test_unknown_lambda_rule_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown lambda rule kind"):
-            LambdaRule("sqrt-n", 0.4)
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            GenSpec(family="normal", m=16, lam=value)
 
     def test_unknown_family_raises(self):
         with pytest.raises(ValueError, match="family must be one of"):
