@@ -153,14 +153,13 @@ def ist_solve(
         tau = min(max(tau, TAU_MIN), TAU_MAX)
 
     residual = _residual(p, w)
-    grad = p.design.T @ residual
     primal = _primal_value(p, w, residual)
     objective_trace: list[float] = []
     gap_trace: list[float] = []
     converged = False
-    w_prev = None
-    grad_prev = None
+    w_prev = grad_prev = None
     for it in range(config.max_iters + 1):
+        grad = p.design.T @ residual
         if not math.isfinite(primal):
             raise NumericError(f"objective became non-finite at iteration {it}")
         gap = relative_duality_gap(p, w, residual, grad)
@@ -185,5 +184,4 @@ def ist_solve(
             if primal <= reference - SUFFICIENT_DECREASE / (2.0 * tau) * float(step @ step):
                 break
             tau = max(0.5 * tau, TAU_MIN)
-        grad = p.design.T @ residual
     return _report(start, w, objective_trace, gap_trace, len(objective_trace) - 1, converged)

@@ -309,10 +309,12 @@ class InnerWorkspace:
         else the k x k A+^T A+.  Adds k to :data:`counters` either way.
 
         ``last`` may be the ``(columns, A[:, columns]^T A[:, columns])`` of an
-        earlier workspace on the same design, columns sorted.  The k x k form
-        then copies the entries of the columns that stay active and computes
-        only the rows of those that enter, ``A_enter^T A+``, unless they are
-        more than half of k.  ``last`` itself is never changed.
+        earlier workspace on the same design, columns sorted; it always holds
+        at least one column, since :func:`_newton_cholesky` keeps nothing at
+        k = 0.  The k x k form then copies the entries of the columns that
+        stay active and computes only the rows of those that enter,
+        ``A_enter^T A+``, unless they are more than half of k.  ``last``
+        itself is never changed.
         """
         k = int(self.active.size)
         if k >= self.p.m:
@@ -322,23 +324,16 @@ class InnerWorkspace:
         if last is None:
             return cols.T @ cols
         kept, kept_gram = last
-        _, old_at, new_at = np.intersect1d(
-            kept, self.active, assume_unique=True, return_indices=True
-        )
-        enter = np.setdiff1d(np.arange(k), new_at, assume_unique=True)
+        # Each active column's kept row; an entering one's is overwritten below.
+        at = np.searchsorted(kept, self.active).clip(max=kept.size - 1)
+        enter = np.flatnonzero(kept[at] != self.active)
         if 2 * enter.size > k:
             return cols.T @ cols
-        # Border the kept Gram with the entering rows; src maps each active
-        # position to its row there, and two takes put it in the new order.
+        gram = kept_gram.take(at, 0).take(at, 1)
         rows = cols[:, enter].T @ cols
-        src = np.empty(k, np.intp)
-        src[new_at] = old_at
-        src[enter] = kept.size + np.arange(enter.size)
-        bordered = np.empty((kept.size + enter.size,) * 2)
-        bordered[:kept.size, :kept.size] = kept_gram
-        bordered[kept.size:, src] = rows
-        bordered[src, kept.size:] = rows.T
-        return bordered.take(src, 0).take(src, 1)
+        gram[enter] = rows
+        gram[:, enter] = rows.T
+        return gram
 
     def diag(self) -> np.ndarray:
         """diag(A+ A+^T): row sums of the squared active columns."""
@@ -425,10 +420,8 @@ def _newton_cholesky(ws, grad, carried=None):
     _check_gradient(grad)
     if ws.active.size == 0:
         return -grad
-    if carried is None:
-        gram = ws.smaller_gram()
-    else:
-        gram = ws.smaller_gram(carried.gram)
+    gram = ws.smaller_gram(None if carried is None else carried.gram)
+    if carried is not None:
         carried.gram = (ws.active, gram) if ws.active.size < ws.p.m else None
     # A new array: a kept Gram is never changed.
     hess = ws.eta * gram
@@ -560,13 +553,27 @@ class _CarriedProduct:
             self.design_t_alpha[cols] = gathered
             self.exact[cols] = True
 
-    def toward_b(self, p, alpha, direction):
-        """``A^T d`` for d = b - alpha, as ``A^T b - A^T alpha`` from the
-        problem's cached ``A^T b``, when every entry is exact; None for any
-        other d."""
-        if not self.exact.all() or not np.array_equal(direction, p.observations - alpha):
-            return None
-        return p._design_t_b - self.design_t_alpha
+    def search_products(self, p, alpha, direction, reach):
+        """The columns a line search from ``alpha`` along d must read, and
+        ``A^T d`` on them; the entries there are made exact at ``alpha``.
+
+        ``reach`` is ``||a_j||*||d||``, the most a step t <= 1 moves q_j.
+        When every entry is exact and d is exactly ``b - alpha``, all columns,
+        with ``A^T d = A^T b - A^T alpha`` from the problem's cached ``A^T b``:
+        no product.  Else the columns with ``upper_j + reach_j > lam``, when
+        :func:`_gathered_products` gathers them, by one pass over
+        ``[alpha d]``.  Else all columns, by one full ``A^T d`` after the
+        stale entries are made exact (:meth:`make_exact`).
+        """
+        if self.exact.all() and np.array_equal(direction, p.observations - alpha):
+            return slice(None), p._design_t_b - self.design_t_alpha
+        cols = np.flatnonzero(self.upper + reach > p.lam)
+        both = _gathered_products(p, cols, np.column_stack((alpha, direction)))
+        if both is not None:
+            self.design_t_alpha[cols] = both[:, 0]
+            return cols, both[:, 1]
+        self.make_exact(p, alpha, np.flatnonzero(~self.exact))
+        return slice(None), p.design.T @ direction
 
     def advance(self, cols, step, design_t_dir, reach):
         """Move to alpha + step*d: exact on ``cols``, where ``design_t_dir``
@@ -601,15 +608,8 @@ def _line_search(ws, direction, grad, carried):
 
     A step t <= 1 along d moves q_j by at most ||a_j||*||d|| (Cauchy-Schwarz),
     so only the columns with ``upper_j + ||a_j||*||d|| > lam`` can be active
-    at a trial point; the others add nothing to any trial objective.  When
-    :func:`_gathered_products` gathers them, its one blocked pass forms both
-    ``a_j^T alpha`` and ``a_j^T d``, and the objectives run over them alone;
-    when it returns None, one full product forms ``A^T d`` (after the stale
-    entries are made exact, if there are any) and the objectives run over
-    every column.
-    A direction of exactly ``b - alpha`` (the Newton step from an empty
-    active set) takes ``A^T d`` from the problem's ``A^T b`` instead, when
-    every carried entry is exact (:meth:`_CarriedProduct.toward_b`).
+    at a trial point; the others add nothing to any trial objective, which
+    runs over the columns :meth:`_CarriedProduct.search_products` returns.
     """
     p, eta, alpha = ws.p, ws.eta, ws.alpha
     slope = float(grad @ direction)
@@ -617,18 +617,7 @@ def _line_search(ws, direction, grad, carried):
         direction = -grad
         slope = -float(grad @ grad)
     reach = float(np.linalg.norm(direction)) * p._column_norms
-    design_t_dir = carried.toward_b(p, alpha, direction)
-    cols = slice(None)
-    if design_t_dir is None:
-        cols = np.flatnonzero(carried.upper + reach > p.lam)
-        both = _gathered_products(p, cols, np.column_stack((alpha, direction)))
-        if both is None:
-            cols = slice(None)
-            design_t_dir = p.design.T @ direction
-            carried.make_exact(p, alpha, np.flatnonzero(~carried.exact))
-        else:
-            carried.design_t_alpha[cols] = both[:, 0]
-            design_t_dir = both[:, 1]
+    cols, design_t_dir = carried.search_products(p, alpha, direction, reach)
     q = carried.design_t_alpha[cols] + carried.shift[cols]
     g0 = _objective_from_q(p, eta, alpha, q)
     step = 1.0

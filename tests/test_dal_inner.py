@@ -829,6 +829,37 @@ class TestKeptGram:
         else:
             assert {("kept", True, False), ("kept", False, True)} <= paths
 
+    # (kept, active): at most half of each active set enters, so every case
+    # updates the kept Gram rather than rebuilding it.
+    EDGES = [
+        ([4, 5, 6, 7, 8], [1, 4, 5, 6, 7, 8, 12]),
+        ([5], [3, 5]),
+        ([5], [5, 9]),
+        ([2, 3, 5, 7, 11], [3, 7]),
+        ([2, 3, 5, 7], [2, 3, 5, 7]),
+    ]
+
+    @pytest.mark.parametrize("kept, active", EDGES, ids=[
+        "enter-first-and-last", "one-kept-enter-first", "one-kept-enter-last",
+        "only-leave", "unchanged",
+    ])
+    def test_update_at_its_edges(self, kept, active):
+        p = random_problem(np.random.default_rng(1), m=10, n=30)
+        kept, active = np.array(kept), np.array(active)
+        last = (kept, p.design[:, kept].T @ p.design[:, kept])
+        last_gram = last[1].copy()
+        w, alpha = point_with_active_set(p, active, 1.0, np.random.default_rng(2))
+        ws = inner_workspace(p, w, 1.0, alpha)
+        np.testing.assert_array_equal(ws.active, active)
+        fresh = ws.active_cols.T @ ws.active_cols
+        for _ in range(2):
+            before = counters.active_column_accesses
+            gram = ws.smaller_gram(last)
+            assert counters.active_column_accesses - before == active.size
+            assert np.abs(gram - fresh).max() <= 1e-12 * np.abs(fresh).max()
+            np.testing.assert_array_equal(last[0], kept)
+            np.testing.assert_array_equal(last[1], last_gram)
+
 
 class TestCholeskyFactor:
     def test_is_numpy_cholesky(self):

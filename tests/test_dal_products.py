@@ -400,3 +400,30 @@ class TestCarriedProduct:
         assert active == 0
         assert not prox._gather_pays(p, flagged)
         assert products == 0
+
+    # Not normal m=64 seeds 1 or 5: there the feasible start's largest |q_j|
+    # rounds just above lam, so the first workspace has one active column.
+    @pytest.mark.parametrize("variant", ["cholesky", "pcg"])
+    @pytest.mark.parametrize("family, size, seed", [
+        ("normal", dict(m=64), 2), ("poor", dict(m=64), 1), ("largescale", dict(n=4096), 1),
+    ], ids=["normal-64-2", "poor-64-1", "largescale-4096-1"])
+    def test_first_search_takes_design_t_d_from_design_t_b(self, monkeypatch, family,
+                                                           size, seed, variant):
+        """From w = 0 the first search starts at an empty active set, so d is
+        b - alpha: it makes no full product and leaves every entry exact."""
+        p = generate(GenSpec(family=family, seed=seed, **size)).problem
+        # Filled before the copy, so the solve reads them from its cache.
+        p._design_t_b, p._column_norms
+        counted, counter = counting(p)
+        real_line_search = dal._line_search
+        searches = []
+
+        def line_search(ws, direction, grad, carried):
+            before = counter[0]
+            result = real_line_search(ws, direction, grad, carried)
+            searches.append((ws.active.size, counter[0] - before, bool(carried.exact.all())))
+            return result
+
+        monkeypatch.setattr(dal, "_line_search", line_search)
+        assert solve(counted, SolverConfig(inner_variant=variant)).converged
+        assert searches[0] == (0, 0, True)
