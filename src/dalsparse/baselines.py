@@ -6,14 +6,15 @@ One step of the proximal-gradient map is
 
 iterated with either the constant step ``tau = 1/L`` for L = ||A||_2^2, taken
 from a power-iteration estimate, or the Barzilai-Borwein spectral step
-started at the same ``1/L``.  The spectral step is clamped to
-[TAU_MIN, TAU_MAX] and safeguarded by the non-monotone acceptance test of
-SpaRSA (Wright, Nowak & Figueiredo, IEEE TSP 2009): a trial point is accepted
-only if its objective lies below the largest of the last ``NONMONOTONE_MEMORY``
-accepted objectives by a sufficient-decrease margin (the max-of-last-M rule of
-Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal. 1986); otherwise the step
-is halved.  The loop shares the duality-gap stopping rule used by the main
-solver so the two families report comparable convergence effort.
+started at ``tau = 1``, which needs no estimate.  The spectral step is
+clamped to [TAU_MIN, TAU_MAX] and safeguarded by the non-monotone acceptance
+test of SpaRSA (Wright, Nowak & Figueiredo, IEEE TSP 2009): a trial point is
+accepted only if its objective lies below the largest of the last
+``NONMONOTONE_MEMORY`` accepted objectives by a sufficient-decrease margin
+(the max-of-last-M rule of Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal.
+1986); otherwise the step is halved.  The loop shares the duality-gap
+stopping rule used by the main solver so the two families report comparable
+convergence effort.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _POWER_ITERS = 100  # steps of the spectral-norm power iteration
 #           - SUFFICIENT_DECREASE / (2 tau) * ||w+ - w||^2.
 NONMONOTONE_MEMORY = 5
 SUFFICIENT_DECREASE = 1e-2
-# Every BB-rule step, the first (1/L) and halved ones included, stays in
+# Every BB-rule step, the first (tau = 1) and halved ones included, stays in
 # [TAU_MIN, TAU_MAX].
 TAU_MIN = 1e-8
 TAU_MAX = 1e8
@@ -71,25 +72,17 @@ class IstConfig:
 def estimate_spectral_norm_sq(design: np.ndarray) -> float:
     """Power-iteration estimate of ||A||_2^2 (largest eigenvalue of A^T A).
 
-    Deterministic: ``_POWER_ITERS`` steps from the all-ones direction.  When
-    the first step gives zero (A 1 = 0, so that direction lies in A's null
-    space), the iteration goes on from a fixed Philox-drawn direction, whose
-    step gives zero only when A = 0; a zero step returns 0.0.
+    Deterministic: ``_POWER_ITERS`` steps from one fixed Philox-drawn
+    direction, whose step gives zero only when A = 0; a zero step returns 0.0.
     """
     design = np.asarray(design, dtype=float)
-    v = np.ones(design.shape[1])
-    v /= np.linalg.norm(v)
+    u = _rng(0).standard_normal(design.shape[1])
     value = 0.0
-    for step in range(_POWER_ITERS):
-        u = design.T @ (design @ v)
-        norm = float(np.linalg.norm(u))
-        if norm == 0.0:
-            if step > 0:
-                return 0.0
-            u = _rng(0).standard_normal(design.shape[1])
-            norm = float(np.linalg.norm(u))
-        value = norm
-        v = u / norm
+    for _ in range(_POWER_ITERS):
+        u = design.T @ (design @ (u / np.linalg.norm(u)))
+        value = float(np.linalg.norm(u))
+        if value == 0.0:
+            break
     return value
 
 
@@ -139,18 +132,19 @@ def ist_solve(
     iterate.  Reports in the same shape as the main solver, with DAL's inner
     effort counts left at their default of 0.
 
-    Each solve makes one :func:`estimate_spectral_norm_sq` of the design,
-    counted in ``wall_time_seconds``, and starts at ``tau = 1/L`` (1 when the
-    estimate is 0); only the BB rule clamps it.
+    The constant rule makes one :func:`estimate_spectral_norm_sq` per solve,
+    counted in ``wall_time_seconds``, and steps at ``tau = 1/L`` (1 when the
+    estimate is 0).  The BB rule makes none and starts at ``tau = 1``.
     """
     if config is None:
         config = IstConfig()
     start = time.perf_counter()
     w = _starting_point(p, w_initial)
-    lipschitz = estimate_spectral_norm_sq(p.design)
-    tau = 1.0 / lipschitz if lipschitz > 0.0 else 1.0
-    if config.step_rule == "bb":
-        tau = min(max(tau, TAU_MIN), TAU_MAX)
+    tau = 1.0
+    if config.step_rule == "constant":
+        lipschitz = estimate_spectral_norm_sq(p.design)
+        if lipschitz > 0.0:
+            tau = 1.0 / lipschitz
 
     residual = _residual(p, w)
     primal = _primal_value(p, w, residual)

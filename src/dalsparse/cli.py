@@ -363,13 +363,7 @@ _AGGREGATE_FIELDS = ["solver", "family", "m", "n", "runs", "converged_runs"] + [
 
 
 def _csv_value(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value).lower() if isinstance(value, bool) else value
 
 
 def _write_csv(path, header: list[str], rows: list[dict]) -> None:

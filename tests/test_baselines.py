@@ -156,7 +156,7 @@ class TestIstSolve:
             return estimate(design)
 
         monkeypatch.setattr(baselines, "estimate_spectral_norm_sq", slow_estimate)
-        report = ist_solve(p, IstConfig(step_rule="bb"))
+        report = ist_solve(p, IstConfig(step_rule="constant"))
         assert report.wall_time_seconds >= 0.05
 
     def test_constant_step_descends_monotonically(self):

@@ -700,7 +700,7 @@ class TestRecordShape:
 
 class TestIstSpectralEstimate:
     """``ist_solve`` owns IST's step: it runs the power iteration once per
-    solve, and ``run_solver`` only picks the step rule."""
+    constant-step solve, and ``run_solver`` only picks the step rule."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -733,7 +733,14 @@ class TestIstSpectralEstimate:
             capsys)
         assert code == 0
         assert len(read_csv(out)) == 1 + 6
-        assert len(calls) == 4
+        # One per ist solve; ist-bb makes none.
+        assert len(calls) == 2
+
+    def test_bb_rule_makes_no_estimate(self, calls):
+        p = probgen.generate(probgen.GenSpec(family="poor", m=32, seed=2)).problem
+        report, _ = cli.run_solver("ist-bb", p, 1e-3)
+        assert report.converged
+        assert calls == []
 
     def test_default_constant_config_gives_run_solver_iterates(self):
         config = IstConfig(step_rule="constant")
