@@ -27,16 +27,16 @@ Exit codes: 0 success (non-convergence is data, not failure), 2 usage,
 3 data/format/IO, 4 internal numeric error.  :func:`main` is the one
 usage-error path: each input is checked by the code that owns its rule
 (``SolverConfig`` and ``IstConfig``, both built only by :func:`_config`,
-``GenSpec``, ``resolve_spec``, and :mod:`~dalsparse.probgen`'s key range for
+``GenSpec``, ``resolve_spec``, :func:`~dalsparse.prox._check_cap` for
+``--workers``, and :mod:`~dalsparse.probgen`'s key range for
 ``--w-init random:SEED``) before anything is loaded, generated or solved,
 and a ``ValueError`` becomes argparse's usage error; an output path that is
 a directory, or whose directory is missing, or two outputs that are one
 file, exit 3 before any work.
-``bench`` runs instances on a pool of ``--workers`` (at least 1) threads, by
-default and at most a set ``DAL_NUM_THREADS`` (a positive integer), and
-cancels the queued ones when one raises an error it does not record, or on
-Ctrl-C; rows are sorted so output is identical for any worker count, modulo
-the wall-time column.
+``bench`` runs instances on a pool of ``--workers`` threads (at least 1,
+default 1), and cancels the queued ones when one raises an error it does not
+record, or on Ctrl-C; rows are sorted so output is identical for any worker
+count, modulo the wall-time column.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import dal, probgen
+from . import dal, probgen, prox
 from .baselines import IstConfig, ist_solve
 from .dal import LineSearchError, NumericError, SolveReport, SolverConfig, solve
 from .probgen import DalpFormatError, GenSpec
@@ -247,9 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="zero | random (seed-derived)")
     bench.add_argument("--out", required=True, help="per-run CSV path; medians "
                        "go to <out stem>_agg<ext> (.csv if no extension)")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="instances run in parallel, at least 1 (default "
-                            "and cap: DAL_NUM_THREADS, else 1)")
+    bench.add_argument("--workers", type=int, default=1,
+                       help="instances run in parallel, at least 1, default 1")
     bench.add_argument("--allow-huge", action="store_true",
                        help=f"permit largescale n above {HUGE_N_CAP}")
     return parser
@@ -416,15 +415,10 @@ def _cmd_bench(args) -> int:
     specs = [probgen.resolve_spec(GenSpec(family=args.family, seed=seed,
                                           **{size_field: size}))
              for size in sizes for seed in seeds]
-    env = os.environ.get("DAL_NUM_THREADS")  # the default worker count and cap
-    cap = int(env) if env is not None and env.isdecimal() else None
-    if (env is not None and not cap) or (args.workers is not None and args.workers < 1):
-        raise ValueError(f"--workers={args.workers}, DAL_NUM_THREADS={env!r}: each "
-                         "must be a positive integer when given")
-    workers = min(args.workers or cap, cap) if cap else args.workers or 1
+    prox._check_cap("--workers", args.workers)
     agg_path = _aggregate_path(args.out)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
         runs = [pool.submit(_bench_instance, spec, solvers, args) for spec in specs]
         try:
             records = [rec for run in runs for rec in run.result()]

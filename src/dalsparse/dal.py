@@ -47,14 +47,14 @@ columns that stay active and computes only the rows of those that enter,
 cancels.  It is built from scratch when more than half of its columns
 enter, or when the last Newton system was m x m, whose Gram is never kept:
 updating ``A+ A+^T`` would subtract the leaving columns' terms.  Both
-strategies, and the gradient, reach the active columns A+ only through
-:class:`InnerWorkspace`, the active-set operator (``matvec``, ``rmatvec``,
-``gram``, ``smaller_gram``, ``diag``).  It gathers A+ into a copy, which
-never exceeds the design since k <= n, and is the one place that counts
-column touches.  Only the single-pass reads below (``A w``, a line search's
-or a rebase's columns) choose between a gather and a full product, all by
-one rule in :mod:`dalsparse.prox`: :func:`dalsparse.prox._gathered_products`
-returns None where one full product is cheaper.
+strategies, and the gradient, read A+ from :class:`InnerWorkspace`, the
+active-set operator (``matvec``, ``rmatvec``, ``gram``, ``smaller_gram``,
+``diag``), which gathers it into a copy no larger than the design and counts
+column touches; the Woodbury solve reads ``active_cols`` directly, so a
+Cholesky step adds only its Gram's k.  Only single-pass reads (``A w``, a
+line search's or a rebase's columns) choose between a gather and a full
+product, all by one rule: :func:`dalsparse.prox._gathered_products` returns
+None where one full product is cheaper.
 
 Products with the whole design matrix dominate the cost of wide problems, so
 ``A^T alpha`` is carried from the start of :func:`solve` to its end instead
@@ -103,10 +103,10 @@ cost none.  A dense iterate's ``A w`` adds to it; a workspace adds none.
 ``A^T b`` also places the starting multiplier: alpha starts at
 ``b`` scaled into the dual feasible set ``||A^T alpha||_inf <= lam``, and its
 ``A^T alpha`` is ``A^T b`` scaled by the same factor.  From ``w = 0`` the
-first active set is then empty, so the first Newton step is a gradient step
-and later active sets grow from below; unscaled, ``A^T b`` exceeds lam on
-most columns of a wide problem, and the first steps would gather most of
-the design into m x m systems.
+first active set is then empty unless rounding lifts one column above lam
+(that first search makes one full product), and later active sets grow from
+below; unscaled, ``A^T b`` exceeds lam on most columns of a wide problem,
+and the first steps would gather most of the design into m x m systems.
 """
 
 from __future__ import annotations
@@ -146,7 +146,8 @@ class OpCounters(threading.local):
     Each inner-gradient evaluation, Hessian assembly, PCG diagonal build and
     Hessian-vector application adds exactly the current active-set size to
     the count of the thread that made it, so solves on parallel threads do
-    not cross-count.  Reset before a measurement, in the thread that runs it.
+    not cross-count; a Cholesky step's Woodbury solve adds nothing beyond
+    its Gram's k.  Reset before a measurement, in the thread that runs it.
     """
 
     active_column_accesses: int = 0

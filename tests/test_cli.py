@@ -451,15 +451,6 @@ class TestBench:
                   "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
-    def test_env_thread_cap_respected(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DAL_NUM_THREADS", "2")
-        out = tmp_path / "rows.csv"
-        code, _, _ = run_main(
-            ["bench", "--family", "normal", "--sizes", "16", "--seeds", "1..2",
-             "--solvers", "dal-cg", "--out", str(out), "--workers", "8"], capsys)
-        assert code == 0
-        assert len(read_csv(out)) == 3
-
 
 class TestBenchInstances:
     """Each (size, seed) instance is generated once and shared by its solvers."""
@@ -1026,30 +1017,30 @@ def generate_calls(monkeypatch):
 
 
 class TestBenchWorkers:
-    """``--workers`` below 1, or a set ``DAL_NUM_THREADS`` that is not a
-    positive integer, is a usage error raised before anything is generated."""
+    """``--workers`` below 1 is a usage error raised before anything is
+    generated; ``--workers`` alone sizes the pool."""
 
     ARGV = ["bench", "--family", "normal", "--sizes", "16", "--seeds", "1..2",
             "--solvers", "dal-cg"]
 
-    @pytest.mark.parametrize("workers, env", [("0", None), ("-1", None),
-                                              (None, "0"), (None, "two")])
-    def test_bad_count_is_usage_error(self, tmp_path, capsys, monkeypatch,
-                                      generate_calls, workers, env):
-        if env is None:
-            monkeypatch.delenv("DAL_NUM_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("DAL_NUM_THREADS", env)
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_bad_count_is_usage_error(self, tmp_path, capsys, generate_calls,
+                                      workers):
         out = tmp_path / "x.csv"
-        argv = self.ARGV + ["--out", str(out)]
-        if workers is not None:
-            argv += ["--workers", workers]
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(self.ARGV + ["--out", str(out), "--workers", workers])
         assert exc.value.code == 2
         assert "dalbench: error:" in capsys.readouterr().err
         assert generate_calls == []
         assert not out.exists()
+
+    def test_environment_does_not_size_the_pool(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setenv("DAL_NUM_THREADS", "two")
+        out = tmp_path / "rows.csv"
+        code, _, _ = run_main(self.ARGV + ["--out", str(out)], capsys)
+        assert code == 0
+        assert len(read_csv(out)[1:]) == 2
 
 
 class TestBenchOutputPaths:
