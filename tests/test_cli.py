@@ -1042,6 +1042,37 @@ class TestBenchWorkers:
         assert code == 0
         assert len(read_csv(out)[1:]) == 2
 
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        """The ``max_workers`` of each pool ``bench`` builds."""
+        sizes = []
+        real_pool = cli.ThreadPoolExecutor
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", pool)
+        return sizes
+
+    def test_pool_defaults_to_one_worker(self, tmp_path, capsys, monkeypatch,
+                                         pool_sizes):
+        monkeypatch.delenv("DAL_NUM_THREADS", raising=False)
+        out = tmp_path / "rows.csv"
+        code, _, _ = run_main(self.ARGV + ["--out", str(out)], capsys)
+        assert code == 0
+        assert pool_sizes == [1]
+
+    def test_environment_does_not_cap_workers(self, tmp_path, capsys,
+                                              monkeypatch, pool_sizes):
+        monkeypatch.setenv("DAL_NUM_THREADS", "1")
+        out = tmp_path / "rows.csv"
+        code, _, _ = run_main(
+            self.ARGV + ["--out", str(out), "--workers", "3"], capsys)
+        assert code == 0
+        assert pool_sizes == [3]
+        assert len(read_csv(out)[1:]) == 2
+
 
 class TestBenchOutputPaths:
     """The aggregate CSV sits next to ``--out``; a missing output directory,
