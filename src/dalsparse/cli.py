@@ -28,11 +28,11 @@ Exit codes: 0 success (non-convergence is data, not failure), 2 usage,
 usage-error path: each input is checked by the code that owns its rule
 (``SolverConfig`` and ``IstConfig``, both built only by :func:`_config`,
 ``GenSpec``, ``resolve_spec``, :func:`~dalsparse.prox._check_cap` for
-``--workers``, and :mod:`~dalsparse.probgen`'s key range for
-``--w-init random:SEED``) before anything is loaded, generated or solved,
-and a ``ValueError`` becomes argparse's usage error; an output path that is
-a directory, or whose directory is missing, or two outputs that are one
-file, exit 3 before any work.
+``--workers``, :func:`_check_huge` for ``--allow-huge``, and the key range
+of :mod:`~dalsparse.probgen` for ``--w-init random:SEED``) before anything
+is loaded, generated or solved, and a ``ValueError`` becomes argparse's
+usage error; an output path that is a directory, or whose directory is
+missing, or two outputs that are one file, exit 3 before any work.
 ``bench`` runs instances on a pool of ``--workers`` threads (at least 1,
 default 1), and cancels the queued ones when one raises an error it does not
 record, or on Ctrl-C; rows are sorted so output is identical for any worker
@@ -210,7 +210,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solver_flags.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
     solver_flags.add_argument("--max-ist-iters", type=int, default=IstConfig.max_iters)
 
-    gen = sub.add_parser("gen", help="generate a problem file")
+    huge_flag = argparse.ArgumentParser(add_help=False)
+    huge_flag.add_argument("--allow-huge", action="store_true",
+                           help=f"permit largescale n above {HUGE_N_CAP}")
+    gen = sub.add_parser("gen", parents=[huge_flag], help="generate a problem file")
     gen.add_argument("--family", required=True, choices=probgen.FAMILIES)
     gen.add_argument("--m", type=int)
     gen.add_argument("--n", type=int)
@@ -230,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        parents=[solver_flags],
+        parents=[solver_flags, huge_flag],
         help="run solvers on every size/seed instance",
         description="Generate each (size, seed) instance once and run every "
                     "requested solver on it.  Writes one CSV row per solve; a "
@@ -249,8 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        "go to <out stem>_agg<ext> (.csv if no extension)")
     bench.add_argument("--workers", type=int, default=1,
                        help="instances run in parallel, at least 1, default 1")
-    bench.add_argument("--allow-huge", action="store_true",
-                       help=f"permit largescale n above {HUGE_N_CAP}")
     return parser
 
 
@@ -301,8 +302,18 @@ def _check_output_dirs(args) -> None:
         raise OSError(f"outputs {paths} name one file")
 
 
+def _check_huge(specs: list[GenSpec], allow_huge: bool) -> None:
+    """``ValueError`` for a largescale n above :data:`HUGE_N_CAP` unless ``allow_huge``."""
+    over = sorted({s.n for s in specs if s.family == "largescale" and s.n > HUGE_N_CAP})
+    if over and not allow_huge:
+        raise ValueError(f"sizes {over} exceed the default n cap {HUGE_N_CAP}; "
+                         f"pass --allow-huge to proceed")
+
+
 def _cmd_gen(args) -> int:
-    generated = probgen.generate(_gen_spec_from_args(args))
+    spec = probgen.resolve_spec(_gen_spec_from_args(args))
+    _check_huge([spec], args.allow_huge)
+    generated = probgen.generate(spec)
     p = generated.problem
     out = _gen_out(args)
     probgen.save_problem(out, generated)
@@ -401,11 +412,6 @@ def aggregate_records(records: list[BenchRecord]) -> list[dict]:
 def _cmd_bench(args) -> int:
     sizes = (list(DEFAULT_SIZES[args.family]) if args.sizes is None
              else _parse_ints(args.sizes))
-    if args.family == "largescale" and not args.allow_huge:
-        over = [n for n in sizes if n > HUGE_N_CAP]
-        if over:
-            raise ValueError(f"sizes {over} exceed the default n cap {HUGE_N_CAP}; "
-                             f"pass --allow-huge to proceed")
     seeds = _parse_ints(args.seeds)
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     if not (sizes and seeds and solvers):
@@ -415,6 +421,7 @@ def _cmd_bench(args) -> int:
     specs = [probgen.resolve_spec(GenSpec(family=args.family, seed=seed,
                                           **{size_field: size}))
              for size in sizes for seed in seeds]
+    _check_huge(specs, args.allow_huge)
     prox._check_cap("--workers", args.workers)
     agg_path = _aggregate_path(args.out)
 

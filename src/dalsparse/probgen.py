@@ -41,7 +41,7 @@ MAGIC = b"DALP"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQQd")
 
-# SVD-based respectruming is only allowed at desk scale.
+# Respectruming costs O(m^2 n + m^3), so the poor family stays at desk scale.
 MAX_POOR_CONDITIONING_M = 2048
 
 
@@ -109,7 +109,7 @@ def resolve_spec(spec: GenSpec) -> GenSpec:
     _check_cap("n", n)
     if spec.family == "poor" and m > MAX_POOR_CONDITIONING_M:
         raise ValueError(
-            f"poor-conditioning generation needs a full SVD; "
+            f"poor-conditioning generation costs O(m^2 n + m^3); "
             f"m is capped at {MAX_POOR_CONDITIONING_M}"
         )
     unset = {name: default(n) for name, default in _FAMILY_DEFAULTS[spec.family].items()
@@ -176,14 +176,22 @@ def impose_power_law_spectrum(design: np.ndarray) -> np.ndarray:
     """Replace the singular values of ``design`` by 1/s for s = 1, 2, ...
 
     The result has largest singular value 1 and condition number min(m, n).
-    Non-finite input surfaces as ``numpy.linalg.LinAlgError`` from the SVD.
+    With A the design, transposed if m > n, and (sigma_s^2, u_s) the
+    eigenpairs of A A^T, largest first, it is U diag(1/(s sigma_s)) U^T A =
+    U diag(1/s) V^T, to about eps * cond(A)^2.  A smallest eigenvalue not
+    above min(m, n) * eps times the largest (a rank deficiency the eigensolve
+    cannot resolve) or non-finite input raises ``numpy.linalg.LinAlgError``.
     """
     design = np.asarray(design, dtype=float)
     if not np.all(np.isfinite(design)):
         raise np.linalg.LinAlgError("design matrix contains non-finite entries")
-    u, _, vt = np.linalg.svd(design, full_matrices=False)
-    s = 1.0 / np.arange(1, min(design.shape) + 1)
-    return (u * s) @ vt
+    wide = design if design.shape[0] <= design.shape[1] else design.T
+    k = wide.shape[0]
+    evals, u = np.linalg.eigh(wide @ wide.T)  # ascending: evals[-1] is sigma_1^2
+    if k and not evals[0] > k * np.finfo(float).eps * evals[-1]:
+        raise np.linalg.LinAlgError("design matrix is rank-deficient")
+    out = ((u / (np.arange(k, 0, -1) * np.sqrt(evals))) @ u.T) @ wide
+    return out if wide is design else out.T
 
 
 def generate(spec: GenSpec) -> GeneratedProblem:

@@ -789,6 +789,17 @@ class TestHugeGuard:
         assert asked_n == [262144]
         assert len(read_csv(out)) == 2
 
+    def test_gen_refused_without_flag(self, tmp_path, monkeypatch):
+        def generate(spec):
+            raise AssertionError("generate called for a refused size")
+
+        monkeypatch.setattr(probgen, "generate", generate)
+        out = tmp_path / "huge.dalp"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--family", "largescale", "--n", "262144", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestBenchWInit:
     def test_seeded_random_is_usage_error(self, tmp_path):

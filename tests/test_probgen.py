@@ -89,6 +89,37 @@ class TestPowerLawSpectrum:
         with pytest.raises(np.linalg.LinAlgError):
             impose_power_law_spectrum(np.array([[np.nan, 1.0], [0.0, 2.0]]))
 
+    @staticmethod
+    def svd_route(design):
+        u, _, vt = np.linalg.svd(design, full_matrices=False)
+        return (u / np.arange(1, min(design.shape) + 1)) @ vt
+
+    @pytest.mark.parametrize(
+        "design",
+        [gen_gaussian_design(64, 256, seed=s) for s in range(1, 6)]
+        + [np.random.default_rng(11).standard_normal((96, 40))],
+        ids=[f"poor-m64-seed{s}" for s in range(1, 6)] + ["tall-96x40"],
+    )
+    def test_matches_svd_reconstruction(self, design):
+        ref = self.svd_route(design)
+        out = impose_power_law_spectrum(design)
+        assert out.shape == design.shape
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("shape", [(64, 64), (120, 48)])
+    def test_square_and_tall_spectra(self, shape):
+        a = impose_power_law_spectrum(np.random.default_rng(12).standard_normal(shape))
+        s = np.linalg.svd(a, compute_uv=False)
+        np.testing.assert_allclose(s, 1.0 / np.arange(1, min(shape) + 1), rtol=1e-9)
+
+    def test_rank_deficient_input_raises(self):
+        with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+            impose_power_law_spectrum(np.zeros((3, 5)))
+        a = np.random.default_rng(13).standard_normal((6, 20))
+        a[4] = a[1]
+        with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+            impose_power_law_spectrum(a)
+
 
 class TestGenerate:
     def test_normal_family_defaults(self):
