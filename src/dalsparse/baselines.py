@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import relative_duality_gap
-from .dal import NumericError, SolveReport, SolverConfig, _report
+from .dal import NumericError, SolveReport, SolverConfig
 from .probgen import _rng
 from .prox import (
     ProblemInstance, _check_cap, _check_positive, _primal_value, _residual, _starting_point,
@@ -178,4 +178,5 @@ def ist_solve(
             if primal <= reference - SUFFICIENT_DECREASE / (2.0 * tau) * float(step @ step):
                 break
             tau = max(0.5 * tau, TAU_MIN)
-    return _report(start, w, objective_trace, gap_trace, len(objective_trace) - 1, converged)
+    return SolveReport(w, len(objective_trace) - 1, time.perf_counter() - start,
+                       converged, objective_trace, gap_trace)

@@ -24,15 +24,17 @@ none (DAL then starts at ``16/lam`` for ``dal-chol`` and ``1/lam`` for
 default to :class:`~dalsparse.probgen.GenSpec`'s fields.
 
 Exit codes: 0 success (non-convergence is data, not failure), 2 usage,
-3 data/format/IO, 4 internal numeric error.  :func:`main` is the one
-usage-error path: each input is checked by the code that owns its rule
+3 data/format/IO, 4 internal numeric error.  Each command checks its
+arguments, then its output paths, then does its work, so an input bad in both
+ways exits 2, and nothing is loaded, generated, solved or written before both
+checks pass.  An argument is checked by the code that owns its rule
 (``SolverConfig`` and ``IstConfig``, both built only by :func:`_config`,
 ``GenSpec``, ``resolve_spec``, :func:`~dalsparse.prox._check_cap` for
 ``--workers``, :func:`_check_huge` for ``--allow-huge``, and the key range
-of :mod:`~dalsparse.probgen` for ``--w-init random:SEED``) before anything
-is loaded, generated or solved, and a ``ValueError`` becomes argparse's
-usage error; an output path that is a directory, or whose directory is
-missing, or two outputs that are one file, exit 3 before any work.
+of :mod:`~dalsparse.probgen` for ``--w-init random:SEED``), and its
+``ValueError`` becomes argparse's usage error in :func:`main`, the one
+usage-error path; an output path that is a directory, or whose directory is
+missing, or two outputs that are one file, exit 3 (:func:`_check_outputs`).
 ``bench`` runs instances on a pool of ``--workers`` threads (at least 1,
 default 1), and cancels the queued ones when one raises an error it does not
 record, or on Ctrl-C; rows are sorted so output is identical for any worker
@@ -57,7 +59,7 @@ import numpy as np
 
 from . import dal, probgen, prox
 from .baselines import IstConfig, ist_solve
-from .dal import LineSearchError, NumericError, SolveReport, SolverConfig, solve
+from .dal import NumericError, SolveReport, SolverConfig, solve
 from .probgen import DalpFormatError, GenSpec
 
 # Each DAL solver id and the SolverConfig.inner_variant it runs.
@@ -80,7 +82,7 @@ HUGE_N_CAP = 2**17
 
 
 # What a solve may raise that the harness records instead of aborting on.
-_NUMERIC_ERRORS = (NumericError, LineSearchError, FloatingPointError)
+_NUMERIC_ERRORS = (NumericError, FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -255,41 +257,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _gen_spec_from_args(args) -> GenSpec:
-    return GenSpec(
-        family=args.family,
-        m=args.m,
-        n=args.n,
-        density=args.density,
-        noise_variance=args.noise_variance,
-        lam=args.lam,
-        seed=args.seed,
-    )
-
-
-def _aggregate_path(out: str) -> str:
-    """Where ``bench`` writes its medians: ``<out stem>_agg<ext>``, ``.csv``
-    when ``out`` has no extension."""
-    root, ext = os.path.splitext(out)
-    return f"{root}_agg{ext or '.csv'}"
-
-
-def _gen_out(args) -> str:
-    """Where ``gen`` writes the container: ``--out``, else a name from the
-    resolved spec."""
-    if args.out is not None:
-        return args.out
-    spec = probgen.resolve_spec(_gen_spec_from_args(args))
-    return f"{spec.family}_m{spec.m}_n{spec.n}_seed{spec.seed}.dalp"
-
-
-def _check_output_dirs(args) -> None:
-    """Raise an ``OSError`` (exit 3) if an output path is empty, is a
-    directory or its directory is missing, or if two outputs are one file."""
-    if args.command == "solve":
-        return
-    paths = ([_gen_out(args), args.csv] if args.command == "gen"
-             else [args.out, _aggregate_path(args.out)])
+def _check_outputs(*paths: str | None) -> None:
+    """Raise an ``OSError`` (exit 3) if an output path (``None``: not asked
+    for) is empty, is a directory or its directory is missing, or if two
+    outputs are one file."""
     paths = [path for path in paths if path is not None]
     for path in paths:
         if path == "":
@@ -311,11 +282,16 @@ def _check_huge(specs: list[GenSpec], allow_huge: bool) -> None:
 
 
 def _cmd_gen(args) -> int:
-    spec = probgen.resolve_spec(_gen_spec_from_args(args))
+    spec = probgen.resolve_spec(GenSpec(
+        family=args.family, m=args.m, n=args.n, density=args.density,
+        noise_variance=args.noise_variance, lam=args.lam, seed=args.seed))
     _check_huge([spec], args.allow_huge)
+    out = args.out
+    if out is None:
+        out = f"{spec.family}_m{spec.m}_n{spec.n}_seed{spec.seed}.dalp"
+    _check_outputs(out, args.csv)
     generated = probgen.generate(spec)
     p = generated.problem
-    out = _gen_out(args)
     probgen.save_problem(out, generated)
     if args.csv is not None:
         probgen.export_problem_csv(args.csv, generated)
@@ -372,17 +348,15 @@ _AGGREGATE_FIELDS = ["solver", "family", "m", "n", "runs", "converged_runs"] + [
 ]
 
 
-def _csv_value(value):
-    return str(value).lower() if isinstance(value, bool) else value
-
-
 def _write_csv(path, header: list[str], rows: list[dict]) -> None:
-    """Write ``rows`` (dicts keyed by ``header``) under ``header``."""
+    """Write ``rows`` (dicts keyed by ``header``) under ``header``, booleans
+    as ``true``/``false``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_csv_value(row[f]) for f in header])
+            values = [row[f] for f in header]
+            writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in values])
 
 
 def aggregate_records(records: list[BenchRecord]) -> list[dict]:
@@ -423,7 +397,9 @@ def _cmd_bench(args) -> int:
              for size in sizes for seed in seeds]
     _check_huge(specs, args.allow_huge)
     prox._check_cap("--workers", args.workers)
-    agg_path = _aggregate_path(args.out)
+    root, ext = os.path.splitext(args.out)
+    agg_path = f"{root}_agg{ext or '.csv'}"
+    _check_outputs(args.out, agg_path)
 
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         runs = [pool.submit(_bench_instance, spec, solvers, args) for spec in specs]
@@ -447,13 +423,9 @@ def _cmd_bench(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = {"gen": _cmd_gen, "solve": _cmd_solve, "bench": _cmd_bench}[args.command]
     try:
-        _check_output_dirs(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        return _cmd_bench(args)
+        return command(args)
     except (DalpFormatError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

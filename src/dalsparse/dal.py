@@ -128,16 +128,17 @@ from .prox import (
 INNER_VARIANTS = ("cholesky", "pcg")
 
 
-class LineSearchError(RuntimeError):
+class NumericError(RuntimeError):
+    """A solve that cannot go on: a non-finite value, a failed factorization,
+    or (as :class:`LineSearchError`) a line search that underflowed."""
+
+
+class LineSearchError(NumericError):
     """Backtracking shrank the step below the underflow floor.
 
     Signals an inconsistency between objective and gradient, not a normal
     convergence failure.
     """
-
-
-class NumericError(RuntimeError):
-    """Non-finite values encountered during a solve."""
 
 
 class OpCounters(threading.local):
@@ -219,26 +220,24 @@ def _starting_eta(p: ProblemInstance, eta_initial: float | None, variant: str) -
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a solve: final iterate, certificates, and effort accounting.
+    """Outcome of a solve: final iterate, traces, and effort accounting.
 
     ``gap_trace`` holds one relative duality gap per outer iteration.  DAL
     forms the residual certificate only once the gap of its scaled multiplier
     meets the tolerance; entries that skipped it hold that multiplier gap,
-    which is still a sound upper bound.  ``relative_gap`` of a converged
-    solve is always the residual gap.  ``primal_value`` and ``relative_gap``
-    are the last entries of ``objective_trace`` and ``gap_trace``.
-    ``wall_time_seconds`` runs from the solver's entry to its return.  The
-    last three counts are DAL's inner effort and stay 0 for IST: Newton
-    steps, CG iterations, and cap hits: first-pass inner solves whose
-    returned alpha misses its stop rule.
+    which is still a sound upper bound.  Both traces hold at least one entry,
+    and the summary is read from them and ``w_final``, not stored:
+    ``primal_value`` and ``relative_gap`` are their last entries (a converged
+    solve's gap is always the residual gap), and ``nnz_fraction`` is the
+    share of nonzeros in ``w_final``.  ``wall_time_seconds`` runs from the
+    solver's entry to its return.  The last three counts are DAL's inner
+    effort and stay 0 for IST: Newton steps, CG iterations, and cap hits:
+    first-pass inner solves whose returned alpha misses its stop rule.
     """
 
     w_final: np.ndarray
-    primal_value: float
-    relative_gap: float
     outer_iters: int
     wall_time_seconds: float
-    nnz_fraction: float
     converged: bool
     objective_trace: list[float]
     gap_trace: list[float]
@@ -246,25 +245,17 @@ class SolveReport:
     pcg_iters_total: int = 0
     inner_cap_hits: int = 0
 
+    @property
+    def primal_value(self) -> float:
+        return self.objective_trace[-1]
 
-def _report(start, w, objective_trace, gap_trace, outer_iters, converged,
-            newton_iters=0, pcg_iters=0, cap_hits=0) -> SolveReport:
-    """The report of a solve entered at ``start`` (``time.perf_counter``) and
-    ending at ``w``; both traces hold at least one entry."""
-    return SolveReport(
-        w_final=w,
-        primal_value=objective_trace[-1],
-        relative_gap=gap_trace[-1],
-        outer_iters=outer_iters,
-        wall_time_seconds=time.perf_counter() - start,
-        nnz_fraction=float(np.count_nonzero(w)) / w.size,
-        converged=converged,
-        objective_trace=objective_trace,
-        gap_trace=gap_trace,
-        inner_newton_iters=newton_iters,
-        pcg_iters_total=pcg_iters,
-        inner_cap_hits=cap_hits,
-    )
+    @property
+    def relative_gap(self) -> float:
+        return self.gap_trace[-1]
+
+    @property
+    def nnz_fraction(self) -> float:
+        return float(np.count_nonzero(self.w_final)) / self.w_final.size
 
 
 def compute_active_set(q: np.ndarray, lam: float) -> np.ndarray:
@@ -837,5 +828,5 @@ def solve(
             break
         eta = eta_next
         eps *= _EPS_SHRINK
-    return _report(start, w, objective_trace, gap_trace, len(objective_trace), converged,
-                   newton_total, pcg_total, cap_hits)
+    return SolveReport(w, len(objective_trace), time.perf_counter() - start, converged,
+                       objective_trace, gap_trace, newton_total, pcg_total, cap_hits)

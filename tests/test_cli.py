@@ -23,6 +23,7 @@ from dalsparse import (
     dal,
     ist_solve,
     load_problem,
+    primal_objective,
     probgen,
     save_problem,
 )
@@ -1192,3 +1193,42 @@ class TestBenchOutputPaths:
         assert stdout == ""
         assert generate_calls == []
         assert list(tmp_path.iterdir()) == []
+
+
+class TestArgumentsBeforeOutputs:
+    """Each command checks its arguments before its output paths, so an input
+    bad in both ways is a usage error (exit 2), not a data error (exit 3),
+    and nothing is generated or written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--family", "normal", "--seeds", "5..3",
+         "--out", "missing/rows.csv"],
+        ["gen", "--family", "normal", "--m", "0", "--out", "missing/p.dalp"],
+    ], ids=["bench-empty-seeds", "gen-zero-m"])
+    def test_bad_argument_wins_over_bad_output(self, tmp_path, capsys, monkeypatch,
+                                               generate_calls, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert generate_calls == []
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestReportSummary:
+    """A report's primal value, gap and sparsity are read from its traces and
+    final iterate, for every solver id."""
+
+    @pytest.mark.parametrize("solver", cli.SOLVER_IDS)
+    def test_summary_is_last_trace_entries_and_nonzero_share(self, solver):
+        p = probgen.generate(GenSpec(family="normal", m=32, seed=6)).problem
+        report, _ = cli.run_solver(solver, p, tol=1e-4)
+        assert report.converged
+        assert report.primal_value == report.objective_trace[-1]
+        assert report.relative_gap == report.gap_trace[-1] <= 1e-4
+        w = report.w_final
+        assert report.nnz_fraction == np.count_nonzero(w) / w.size
+        assert type(report.nnz_fraction) is float
+        assert 0.0 < report.nnz_fraction < 1.0
+        assert report.primal_value == pytest.approx(primal_objective(p, w), rel=1e-12)
