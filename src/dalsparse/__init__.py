@@ -8,7 +8,6 @@ and a benchmark harness (``dalbench``).
 
 from .baselines import IstConfig, bb_step, estimate_spectral_norm_sq, ist_solve, ist_step
 from .certificates import (
-    DualCertificate,
     dual_certificate,
     feasible_dual_point,
     relative_duality_gap,
@@ -55,7 +54,6 @@ from .prox import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DualCertificate",
     "DualInfeasibleError",
     "DalpFormatError",
     "GenSpec",

@@ -163,7 +163,7 @@ def _run_and_record(
     """
     start = time.perf_counter()
     try:
-        report, _ = run_solver(
+        report, eta = run_solver(
             solver,
             problem,
             tol=args.tol,
@@ -178,13 +178,13 @@ def _run_and_record(
             nnz_fraction=report.nnz_fraction,
             final_gap=report.relative_gap,
             converged=report.converged,
+            eta_initial=eta,
         )
     except _NUMERIC_ERRORS as exc:
-        outcome = dict(error=f"{type(exc).__name__}: {exc}")
+        outcome = dict(error=f"{type(exc).__name__}: {exc}",
+                       eta_initial=_resolved_eta(solver, problem, args.eta1))
     return BenchRecord(solver=solver, family=family, m=problem.m, n=problem.n,
-                       seed=seed, wall_time_s=time.perf_counter() - start,
-                       eta_initial=_resolved_eta(solver, problem, args.eta1),
-                       **outcome)
+                       seed=seed, wall_time_s=time.perf_counter() - start, **outcome)
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -360,13 +360,12 @@ def _write_csv(path, header: list[str], rows: list[dict]) -> None:
 
 
 def aggregate_records(records: list[BenchRecord]) -> list[dict]:
-    """Per-(solver, family, m, n) medians over seeds, plus convergence counts."""
+    """Per-(solver, family, m, n) medians and convergence counts, in record order."""
     groups: dict[tuple, list[BenchRecord]] = {}
     for rec in records:
         groups.setdefault((rec.solver, rec.family, rec.m, rec.n), []).append(rec)
     rows = []
-    for key in sorted(groups, key=lambda k: (str(k[0]), str(k[1]), k[2], k[3])):
-        members = groups[key]
+    for key, members in groups.items():
         row = {
             "solver": key[0],
             "family": key[1],
@@ -401,14 +400,13 @@ def _cmd_bench(args) -> int:
     agg_path = f"{root}_agg{ext or '.csv'}"
     _check_outputs(args.out, agg_path)
 
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=args.workers)
+    try:
         runs = [pool.submit(_bench_instance, spec, solvers, args) for spec in specs]
-        try:
-            records = [rec for run in runs for rec in run.result()]
-        except BaseException:
-            # Leaving the block would otherwise run every queued instance first.
-            pool.shutdown(cancel_futures=True)
-            raise
+        records = [rec for run in runs for rec in run.result()]
+    finally:
+        # On an error, cancel the queued instances instead of running them.
+        pool.shutdown(cancel_futures=True)
     records.sort(key=lambda r: (r.solver, r.m, r.n, r.seed))
     _write_csv(args.out, [f.name for f in fields(BenchRecord)],
                [asdict(r) for r in records])

@@ -43,10 +43,10 @@ only a few of its columns change, so a solve keeps the last one, with its
 sorted column indices, on the state it carries through :func:`inner_solve`
 (``_CarriedProduct.gram``).  The next k x k Gram copies the entries of the
 columns that stay active and computes only the rows of those that enter,
-``A_enter^T A+``; every entry is still one column dot product, so nothing
-cancels.  It is built from scratch when more than half of its columns
-enter, or when the last Newton system was m x m, whose Gram is never kept:
-updating ``A+ A+^T`` would subtract the leaving columns' terms.  Both
+``A_enter^T A+``, however many enter; every entry is still one column dot
+product, so nothing cancels.  It is built from scratch only when none is
+kept: at the first k x k step, and after an m x m step, whose ``A+ A+^T`` is
+never kept, as updating it would subtract the leaving columns' terms.  Both
 strategies, and the gradient, read A+ from :class:`InnerWorkspace`, the
 active-set operator (``matvec``, ``rmatvec``, ``gram``, ``smaller_gram``,
 ``diag``), which gathers it into a copy no larger than the design and counts
@@ -305,8 +305,7 @@ class InnerWorkspace:
         at least one column, since :func:`_newton_cholesky` keeps nothing at
         k = 0.  The k x k form then copies the entries of the columns that
         stay active and computes only the rows of those that enter,
-        ``A_enter^T A+``, unless they are more than half of k.  ``last``
-        itself is never changed.
+        ``A_enter^T A+``.  ``last`` itself is never changed.
         """
         k = int(self.active.size)
         if k >= self.p.m:
@@ -319,8 +318,6 @@ class InnerWorkspace:
         # Each active column's kept row; an entering one's is overwritten below.
         at = np.searchsorted(kept, self.active).clip(max=kept.size - 1)
         enter = np.flatnonzero(kept[at] != self.active)
-        if 2 * enter.size > k:
-            return cols.T @ cols
         gram = kept_gram.take(at, 0).take(at, 1)
         rows = cols[:, enter].T @ cols
         gram[enter] = rows
@@ -459,14 +456,12 @@ def newton_direction_cholesky(
 def _newton_pcg(ws, grad, tol, max_iters):
     _check_gradient(grad)
     diag = 1.0 + ws.eta * ws.diag()
-    rhs = -grad
-    rhs_norm = float(np.linalg.norm(rhs))
+    r = -grad
+    rhs_norm = float(np.linalg.norm(r))
     y = np.zeros(grad.shape[0])
     if rhs_norm == 0.0:
         return y, 0
-    r = rhs.copy()
-    z = r / diag
-    pvec = z.copy()
+    pvec = z = r / diag
     rz = float(r @ z)
     iters = 0
     for _ in range(max_iters):

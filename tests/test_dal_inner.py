@@ -750,9 +750,9 @@ class TestKeptGram:
     TestNewtonSystemForm's bound; each smaller_gram call counts k columns."""
 
     # (family, size, seed, random start, eta_initial times lam): the
-    # largescale solve starts with k >= m, switches to k < m, rebuilds when
-    # more than half of k enters, and has steps where columns both enter
-    # and leave.
+    # largescale solve starts with k >= m, switches to k < m, has a step
+    # where more than half of k enters the kept Gram, and has steps where
+    # columns both enter and leave.
     CASES = [
         ("normal", dict(m=64), 1, False, None),
         ("largescale", dict(n=4096), 1, True, 1.0),
@@ -829,19 +829,21 @@ class TestKeptGram:
         else:
             assert {("kept", True, False), ("kept", False, True)} <= paths
 
-    # (kept, active): at most half of each active set enters, so every case
-    # updates the kept Gram rather than rebuilding it.
+    # (kept, active): the kept Gram is updated however many columns enter,
+    # from none to every one, so each case takes the same path.
     EDGES = [
         ([4, 5, 6, 7, 8], [1, 4, 5, 6, 7, 8, 12]),
         ([5], [3, 5]),
         ([5], [5, 9]),
         ([2, 3, 5, 7, 11], [3, 7]),
         ([2, 3, 5, 7], [2, 3, 5, 7]),
+        ([5], [1, 3, 5, 9]),
+        ([2, 3], [5, 7, 9]),
     ]
 
     @pytest.mark.parametrize("kept, active", EDGES, ids=[
         "enter-first-and-last", "one-kept-enter-first", "one-kept-enter-last",
-        "only-leave", "unchanged",
+        "only-leave", "unchanged", "most-enter", "none-stays",
     ])
     def test_update_at_its_edges(self, kept, active):
         p = random_problem(np.random.default_rng(1), m=10, n=30)
