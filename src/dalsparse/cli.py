@@ -78,7 +78,7 @@ DEFAULT_SIZES = {
     "poor": (128, 256, 512),
     "largescale": (4096, 16384, 65536),
 }
-HUGE_N_CAP = 2**17
+HUGE_ENTRIES = 2**27  # 1 GiB of float64
 
 
 # What a solve may raise that the harness records instead of aborting on.
@@ -214,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     huge_flag = argparse.ArgumentParser(add_help=False)
     huge_flag.add_argument("--allow-huge", action="store_true",
-                           help=f"permit largescale n above {HUGE_N_CAP}")
+                           help="permit a design of more than 2^27 entries (m*n; 1 GiB)")
     gen = sub.add_parser("gen", parents=[huge_flag], help="generate a problem file")
     gen.add_argument("--family", required=True, choices=probgen.FAMILIES)
     gen.add_argument("--m", type=int)
@@ -274,10 +274,10 @@ def _check_outputs(*paths: str | None) -> None:
 
 
 def _check_huge(specs: list[GenSpec], allow_huge: bool) -> None:
-    """``ValueError`` for a largescale n above :data:`HUGE_N_CAP` unless ``allow_huge``."""
-    over = sorted({s.n for s in specs if s.family == "largescale" and s.n > HUGE_N_CAP})
+    """``ValueError`` for a design above :data:`HUGE_ENTRIES` entries unless ``allow_huge``."""
+    over = sorted({(s.m, s.n) for s in specs if s.m * s.n > HUGE_ENTRIES})
     if over and not allow_huge:
-        raise ValueError(f"sizes {over} exceed the default n cap {HUGE_N_CAP}; "
+        raise ValueError(f"designs (m, n) {over} exceed 2^27 entries (1 GiB); "
                          f"pass --allow-huge to proceed")
 
 

@@ -44,8 +44,8 @@ sorted column indices, on the state it carries through :func:`inner_solve`
 (``_CarriedProduct.gram``).  The next k x k Gram copies the entries of the
 columns that stay active and computes only the rows of those that enter,
 ``A_enter^T A+``, however many enter; every entry is still one column dot
-product, so nothing cancels.  It is built from scratch only when none is
-kept: at the first k x k step, and after an m x m step, whose ``A+ A+^T`` is
+product, so nothing cancels.  It is built from scratch only at a solve's
+first k x k step; an m x m step leaves it kept, and its own ``A+ A+^T`` is
 never kept, as updating it would subtract the leaving columns' terms.  Both
 strategies, and the gradient, read A+ from :class:`InnerWorkspace`, the
 active-set operator (``matvec``, ``rmatvec``, ``gram``, ``smaller_gram``,
@@ -410,8 +410,8 @@ def _newton_cholesky(ws, grad, carried=None):
     if ws.active.size == 0:
         return -grad
     gram = ws.smaller_gram(None if carried is None else carried.gram)
-    if carried is not None:
-        carried.gram = (ws.active, gram) if ws.active.size < ws.p.m else None
+    if carried is not None and ws.active.size < ws.p.m:
+        carried.gram = (ws.active, gram)
     # A new array: a kept Gram is never changed.
     hess = ws.eta * gram
     hess[np.diag_indices_from(hess)] += 1.0
@@ -511,8 +511,8 @@ class _CarriedProduct:
     is |q_j| itself, for q_j = (A^T alpha)_j + shift_j.  Elsewhere
     ``design_t_alpha`` holds its value at an earlier alpha, and all that is
     known is |q_j| <= upper_j <= lam: the column is inactive.  ``shift`` is
-    w/eta.  ``gram`` is the last Cholesky Newton step's ``(active,
-    A+^T A+)`` when it took the k x k form, else None (see the module
+    w/eta.  ``gram`` is the ``(active, A+^T A+)`` of the last k x k
+    Cholesky Newton step, None before the first (see the module
     docstring); it is replaced, never changed in place.
     """
 
@@ -690,9 +690,9 @@ def inner_solve(
     line search makes the products :func:`_line_search` lists.  ``carried``,
     the 8th parameter, is :func:`solve`'s :class:`_CarriedProduct` at
     ``alpha_start`` and shift ``w/eta``, whose stale entries are inactive; it
-    is advanced in place to the returned alpha, and a Cholesky step reads and
-    replaces its kept Gram.  Without it the state starts here, exact
-    everywhere, from one fresh ``A^T alpha_start``, with no Gram kept.
+    is advanced in place to the returned alpha, and a k x k Cholesky step
+    reads and replaces its kept Gram.  Without it the state starts here,
+    exact everywhere, from one fresh ``A^T alpha_start``, with no Gram kept.
     """
     _check_positive("eps", eps)
     _check_positive("eta", eta)

@@ -756,8 +756,8 @@ class TestIstSpectralEstimate:
 
 
 class TestHugeGuard:
-    """``bench --family largescale`` refuses n above ``HUGE_N_CAP`` before
-    generating anything, unless ``--allow-huge`` is given."""
+    """``gen`` and ``bench`` refuse a design of more than 2^27 entries, in any
+    family, before generating anything, unless ``--allow-huge`` is given."""
 
     ARGV = ["bench", "--family", "largescale", "--sizes", "262144", "--seeds", "1",
             "--solvers", "dal-cg"]
@@ -800,6 +800,36 @@ class TestHugeGuard:
             main(["gen", "--family", "largescale", "--n", "262144", "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "normal", "--m", "65536"],
+        ["gen", "--family", "largescale", "--m", "1048576", "--n", "1024"],
+        ["gen", "--family", "largescale", "--n", str(2**17 + 1)],
+        ["bench", "--family", "normal", "--sizes", "65536", "--seeds", "1",
+         "--solvers", "dal-cg"],
+    ], ids=["normal-m", "largescale-m", "largescale-n-above-2^27", "bench-normal"])
+    def test_any_family_over_2_27_entries_refused(self, tmp_path, asked_n, argv):
+        out = tmp_path / "huge.out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert asked_n == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_2_27_entries_accepted(self, tmp_path, capsys, asked_n):
+        out = tmp_path / "x.dalp"
+        code, _, _ = run_main(["gen", "--family", "largescale", "--n", str(2**17),
+                               "--out", str(out)], capsys)
+        assert code == 0
+        assert asked_n == [2**17]
+        assert out.exists()
+
+    def test_small_design_with_large_n_generates(self, tmp_path, capsys):
+        out = tmp_path / "wide.dalp"
+        code, _, _ = run_main(["gen", "--family", "normal", "--m", "8", "--n", "262144",
+                               "--out", str(out)], capsys)
+        assert code == 0
+        assert load_problem(out).problem.design.shape == (8, 262144)
 
 
 class TestBenchWInit:

@@ -816,18 +816,37 @@ class TestKeptGram:
                     entering = np.setdiff1d(active, last[0]).size
                     leaving = np.setdiff1d(last[0], active).size
                     paths.add(("kept", entering > 0, leaving > 0) if 2 * entering <= k
-                              else "rebuild")
+                              else ("kept", "most enter"))
             else:
-                assert carried.gram is None
+                assert carried.gram is last
                 paths.add("m x m" if k else "empty")
             hess = explicit_hessian(p, w, eta, alpha)
             resid = np.linalg.norm(hess @ y + grad)
             assert resid <= 1e-10 * (1 + np.linalg.norm(grad))
         if case[0] == "largescale":
-            assert {"m x m", "rebuild", ("kept", True, True)} <= paths
+            assert {"m x m", ("kept", "most enter"), ("kept", True, True)} <= paths
             assert sets[0].size >= p.m > sets[-1].size
         else:
             assert {("kept", True, False), ("kept", False, True)} <= paths
+
+    def test_m_x_m_step_leaves_the_kept_gram(self):
+        """A k x k step, an m x m step, then a k x k step again: the m x m
+        step leaves the kept Gram as it was, and the last step's Gram, built
+        from it, matches a fresh A+^T A+."""
+        p = random_problem(np.random.default_rng(1), m=10, n=30)
+        rng = np.random.default_rng(2)
+        carried = dal._CarriedProduct.start(np.zeros(p.n), np.zeros(p.n))
+        grams = []
+        for active in ([2, 3, 5, 7, 11], range(12), [3, 5, 7, 13]):
+            w, alpha = point_with_active_set(p, list(active), 1.0, rng)
+            ws = inner_workspace(p, w, 1.0, alpha)
+            dal._newton_cholesky(ws, inner_gradient(p, w, 1.0, alpha), carried)
+            grams.append(carried.gram)
+        assert grams[1] is grams[0]
+        cols, last = grams[2]
+        np.testing.assert_array_equal(cols, [3, 5, 7, 13])
+        fresh = p.design[:, cols].T @ p.design[:, cols]
+        assert np.abs(last - fresh).max() <= 1e-12 * np.abs(fresh).max()
 
     # (kept, active): the kept Gram is updated however many columns enter,
     # from none to every one, so each case takes the same path.
