@@ -310,9 +310,14 @@ def _check_solver_flags(args, solvers: list[str]) -> None:
 def _cmd_solve(args) -> int:
     _check_solver_flags(args, [args.solver])
     kind, _, seed = args.w_init.partition(":")
+    usage = f"w-init must be 'zero' or 'random:SEED', got {args.w_init!r}"
     if args.w_init != "zero" and kind != "random":
-        raise ValueError(f"w-init must be 'zero' or 'random:SEED', got {args.w_init!r}")
-    w_seed = probgen._check_key(int(seed)) if kind == "random" else None
+        raise ValueError(usage)
+    try:
+        w_seed = int(seed) if kind == "random" else None
+    except ValueError:
+        raise ValueError(usage) from None
+    w_seed = None if w_seed is None else probgen._check_key(w_seed)
     p = probgen.load_problem(args.problem).problem
     record = _run_and_record(args.solver, p, _initial_w(w_seed, p.n), args)
     # RFC 8259 JSON has no inf or nan: a failed solve's gap is written null.

@@ -30,13 +30,13 @@ Newton system (I + eta*A+ A+^T) y = -g is m x m; when k < m the Cholesky
 variant factors the smaller k x k matrix S = I + eta*A+^T A+ instead and
 returns y = -g + eta*A+ S^{-1} A+^T g (Sherman-Morrison-Woodbury), so its
 factorization cost follows the sparsity of the solution too.  Either matrix
-is factored by numpy's LAPACK and solved by two triangular solves; the k x k
-form then makes one step of iterative refinement with the same factor,
-which removes the rounding its subtraction leaves when eta*||A+||^2 is
-large.  Exact Newton steps cost the same at any eta, so the Cholesky
-variant starts at eta_1 = 16/lam and reaches a large eta, where the outer
-rate is fast, in fewer outer iterations; PCG's conditioning worsens as eta
-grows, so it starts at 1/lam (``_ETA_START``).
+is factored by numpy's LAPACK and solved by two LAPACK ``dtrtrs`` calls that
+read the factor's transpose with no copy; the k x k form then makes one step
+of iterative refinement with the same factor, which removes the rounding its
+subtraction leaves when eta*||A+||^2 is large.  Exact Newton steps cost the
+same at any eta, so the Cholesky variant starts at eta_1 = 16/lam and reaches
+a large eta, where the outer rate is fast, in fewer outer iterations; PCG's
+conditioning worsens as eta grows, so it starts at 1/lam (``_ETA_START``).
 
 The k x k Gram ``A+^T A+`` does not depend on eta, and between Newton steps
 only a few of its columns change, so a solve keeps the last one, with its
@@ -117,7 +117,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .certificates import _certificate, _feasible_scale, relative_duality_gap
 from .prox import (
@@ -384,8 +384,9 @@ def cho_factor(hess: np.ndarray) -> np.ndarray:
 
     Not scipy's: scipy links an OpenBLAS of its own, whose worker thread
     keeps spinning after a threaded factorization and slows the numpy
-    products that follow.  Raises :class:`NumericError` when ``hess`` is not
-    positive definite.
+    products that follow.  :func:`cho_solve`'s level-2 ``dtrtrs`` wakes no
+    such thread, so the solve may use scipy.  Raises :class:`NumericError`
+    when ``hess`` is not positive definite.
     """
     try:
         return np.linalg.cholesky(hess)
@@ -394,9 +395,15 @@ def cho_factor(hess: np.ndarray) -> np.ndarray:
 
 
 def cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = rhs for the lower factor L by two triangular solves."""
-    half = solve_triangular(factor, rhs, lower=True, check_finite=False)
-    return solve_triangular(factor, half, lower=True, trans="T", check_finite=False)
+    """Solve (L L^T) x = rhs for the lower factor L by two LAPACK ``dtrtrs``
+    calls that read ``factor.T``, the upper factor in Fortran order, with no
+    copy.  A zero on the diagonal raises :class:`NumericError`."""
+    x = rhs
+    for trans in (1, 0):
+        x, info = dtrtrs(factor.T, x, lower=0, trans=trans)
+        if info:
+            raise NumericError(f"triangular solve failed: dtrtrs info {info}")
+    return x
 
 
 def _check_gradient(grad):
@@ -414,7 +421,7 @@ def _newton_cholesky(ws, grad, carried=None):
         carried.gram = (ws.active, gram)
     # A new array: a kept Gram is never changed.
     hess = ws.eta * gram
-    hess[np.diag_indices_from(hess)] += 1.0
+    hess.flat[:: hess.shape[0] + 1] += 1.0
     if not np.all(np.isfinite(hess)):
         raise NumericError("non-finite Hessian assembled")
     factor = cho_factor(hess)

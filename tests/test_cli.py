@@ -1262,3 +1262,24 @@ class TestReportSummary:
         assert type(report.nnz_fraction) is float
         assert 0.0 < report.nnz_fraction < 1.0
         assert report.primal_value == pytest.approx(primal_objective(p, w), rel=1e-12)
+
+
+class TestSolveWInitSeed:
+    """``solve --w-init`` with a seed that is not an integer is the w-init
+    usage error, raised before any solve."""
+
+    @pytest.mark.parametrize("w_init", ["random", "random:abc", "random:1:2"])
+    def test_unparsable_seed_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                            w_init):
+        path = tmp_path / "p.dalp"
+        save_problem(path, probgen.generate(GenSpec(family="normal", m=8, seed=1)))
+        calls = []
+        monkeypatch.setattr(cli, "run_solver", lambda *a, **kw: calls.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(path), "--solver", "dal-chol", "--w-init", w_init])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert (f"dalbench: error: w-init must be 'zero' or 'random:SEED', "
+                f"got {w_init!r}") in captured.err
+        assert captured.out == ""
+        assert calls == []

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from dalsparse import (
     GenSpec,
@@ -892,3 +893,76 @@ class TestCholeskyFactor:
     def test_indefinite_raises_numeric_error(self):
         with pytest.raises(NumericError, match="Cholesky factorization failed"):
             dal.cho_factor(np.diag([1.0, -1.0]))
+
+
+def solve_triangular_pair(factor, rhs):
+    """The reference solve: two scipy ``solve_triangular`` calls on L."""
+    half = solve_triangular(factor, rhs, lower=True, check_finite=False)
+    return solve_triangular(factor, half, lower=True, trans="T", check_finite=False)
+
+
+class TestCholeskySolve:
+    """dal.cho_solve gives the solve_triangular pair's result bit for bit, on
+    k x k factors of I + eta*A+^T A+ and on an m x m one of I + eta*A+ A+^T."""
+
+    # (rows of A+, columns of A+, whether the m x m form A+ A+^T is factored)
+    CASES = [(64, 1, False), (256, 40, False), (512, 300, False), (60, 200, True)]
+
+    @pytest.mark.parametrize("rows, cols, full", CASES)
+    def test_bitwise_equal_to_solve_triangular(self, rows, cols, full):
+        rng = np.random.default_rng(rows + cols)
+        a = rng.standard_normal((rows, cols))
+        gram = a @ a.T if full else a.T @ a
+        hess = np.eye(gram.shape[0]) + 100.0 * gram
+        factor = dal.cho_factor(hess)
+        rhs = rng.standard_normal(gram.shape[0])
+        x = dal.cho_solve(factor, rhs)
+        np.testing.assert_array_equal(x, solve_triangular_pair(factor, rhs))
+        resid = np.linalg.norm(factor @ (factor.T @ x) - rhs)
+        assert resid <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_leaves_rhs_unchanged(self):
+        factor = dal.cho_factor(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        rhs = np.array([1.0, -2.0])
+        dal.cho_solve(factor, rhs)
+        np.testing.assert_array_equal(rhs, [1.0, -2.0])
+
+    def test_zero_on_diagonal_raises_numeric_error(self):
+        factor = dal.cho_factor(np.eye(5) + np.ones((5, 5)))
+        factor[2, 2] = 0.0
+        with pytest.raises(NumericError, match="triangular solve failed") as exc:
+            dal.cho_solve(factor, np.ones(5))
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
+
+
+class TestHessianDiagonal:
+    """The Cholesky step factors eta*gram with 1.0 added to its diagonal,
+    bit for bit, whether the Gram is C- or Fortran-ordered."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [8, 40], ids=["k_x_k", "m_x_m"])
+    def test_hessian_is_eta_gram_plus_identity(self, k, order, monkeypatch):
+        m, eta = 20, 37.5
+        p, w, alpha = problem_with_active_set(m, 100, k, eta, seed=k)
+        grams, hessians = [], []
+        smaller_gram = dal.InnerWorkspace.smaller_gram
+        factor = dal.cho_factor
+
+        def ordered_gram(ws, last=None):
+            gram = np.asarray(smaller_gram(ws, last), order=order)
+            grams.append(gram)
+            return gram
+
+        def recording_factor(hess):
+            hessians.append(hess.copy())
+            return factor(hess)
+
+        monkeypatch.setattr(dal.InnerWorkspace, "smaller_gram", ordered_gram)
+        monkeypatch.setattr(dal, "cho_factor", recording_factor)
+        newton_direction_cholesky(p, w, eta, alpha, inner_gradient(p, w, eta, alpha))
+        (gram,), (hess,) = grams, hessians
+        assert gram.shape == (min(k, m), min(k, m))
+        assert gram.flags[f"{order}_CONTIGUOUS"]
+        expected = eta * gram
+        expected[np.diag_indices_from(expected)] += 1.0
+        np.testing.assert_array_equal(hess, expected)

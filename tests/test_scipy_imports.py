@@ -1,9 +1,10 @@
-"""The solver imports nothing from scipy but ``scipy.linalg.solve_triangular``.
+"""The solver imports nothing from scipy but ``scipy.linalg.lapack.dtrtrs``.
 
 scipy's LAPACK runs on an OpenBLAS of its own, separate from numpy's; its
-threaded factorizations (``cho_factor``, ``lu_factor``, ...) leave a worker
-spinning that slows the numpy products that follow.  The level-2 triangular
-solve wakes no such thread.
+threaded factorizations (``cho_factor``, ``dpotrf``, ``lu_factor``, ...) leave
+a worker spinning that slows the numpy products that follow.  The level-2
+triangular solve wakes no such thread, so the solver may call it, and no
+scipy factorization.
 """
 
 import ast
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import dalsparse
 
-ALLOWED = {("scipy.linalg", "solve_triangular")}
+ALLOWED = {("scipy.linalg.lapack", "dtrtrs")}
 
 
 def scipy_imports(path):
@@ -31,7 +32,7 @@ def scipy_imports(path):
     return found
 
 
-def test_only_solve_triangular_is_imported_from_scipy():
+def test_only_dtrtrs_is_imported_from_scipy():
     sources = sorted(Path(dalsparse.__file__).parent.glob("*.py"))
     assert sources
     disallowed = [
@@ -49,9 +50,12 @@ def test_guard_sees_lapack_factorizations(tmp_path):
         "import scipy.linalg\n"
         "from scipy.linalg import cho_factor, solve_triangular\n"
         "from scipy import linalg\n"
+        "from scipy.linalg.lapack import dpotrf, dtrtrs\n"
     )
     assert set(scipy_imports(source)) - ALLOWED == {
         ("scipy.linalg", None),
         ("scipy.linalg", "cho_factor"),
+        ("scipy.linalg", "solve_triangular"),
         ("scipy", "linalg"),
+        ("scipy.linalg.lapack", "dpotrf"),
     }
